@@ -17,7 +17,7 @@ from .errors import ConvergenceError, DomainError, InvalidInputError, ParseError
 class Graph:
     """Immutable simple graph on vertices 1..n."""
 
-    __slots__ = ("n", "_adj", "_edges")
+    __slots__ = ("n", "_adj", "_edges", "_bipartition")
 
     def __init__(self, n: int, edges=()):
         if n < 1:
@@ -43,6 +43,7 @@ class Graph:
         self.n = n
         self._adj = tuple(frozenset(s) for s in adj)
         self._edges = tuple(sorted(seen))
+        self._bipartition = None  # kept by is_bipartite on first use
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
@@ -158,7 +159,23 @@ def laplacian(g: Graph) -> tuple[tuple[int, ...], ...]:
 
 
 def is_bipartite(g: Graph):
-    """(True, colouring dict) with colours 0/1, or (False, None)."""
+    """(True, colouring dict) with colours 0/1, or (False, None).
+
+    Graphs are immutable, so the search runs once per graph.  The graph keeps
+    its result as one int, the vertices of colour 1 as a bitmask or -1 when
+    it is not bipartite: graph-keyed caches hold many graphs, and a kept
+    dict would cost each of them hundreds of bytes.
+    """
+    if g._bipartition is None:
+        colour = _two_colouring(g)
+        g._bipartition = -1 if colour is None else sum(c << v for v, c in colour.items())
+    mask = g._bipartition
+    if mask < 0:
+        return False, None
+    return True, {v: mask >> v & 1 for v in g.vertices()}
+
+
+def _two_colouring(g: Graph) -> dict[int, int] | None:
     colour: dict[int, int] = {}
     for start in g.vertices():
         if start in colour:
@@ -172,8 +189,8 @@ def is_bipartite(g: Graph):
                     colour[w] = 1 - colour[v]
                     queue.append(w)
                 elif colour[w] == colour[v]:
-                    return False, None
-    return True, colour
+                    return None
+    return colour
 
 
 def wiener_index(g: Graph) -> int:

@@ -22,7 +22,7 @@ from .graphs import Graph, is_bipartite
 from .immanants import ImmanantalPolynomial
 from .partitions import Partition
 from .shifts import ShiftMove, apply_shift
-from .symfunc import BASES, basis_binomial
+from .symfunc import BASES, basis_binomial_row
 
 FULL_CENSUS_CAP = 10**8
 
@@ -137,7 +137,11 @@ def census_transform(g: Graph, census: dict[Partition, int], lam: Partition, bas
         raise DomainError(f"partition weight {lam.n} does not match {g.n} vertices")
     if not is_bipartite(g)[0]:
         raise DomainError("orientation formulas for Laplacian immanants need a bipartite graph")
-    return sum(count * basis_binomial(basis, lam, mu) for mu, count in census.items())
+    row = basis_binomial_row(basis, lam)
+    try:
+        return sum(count * row[mu] for mu, count in census.items())
+    except KeyError as exc:
+        raise InvalidInputError(f"census type {exc.args[0]} is not a partition of {g.n}") from None
 
 
 def immanant_via_orientations(g: Graph, lam: Partition, basis: str = "s") -> int:

@@ -91,7 +91,8 @@ def build_poset(members) -> HasseDiagram:
             if key not in index:
                 raise DomainError("a shift left the family; it is not shift-closed")
             j = index[key]
-            assert j != i
+            if j == i:
+                raise RuntimeError("a shift returned a graph isomorphic to its input")
             if (i, j) not in arcs:
                 arcs.add((i, j))
                 witnesses[i, j] = move

@@ -124,7 +124,8 @@ def shift_applicable(g: Graph, recipient: int, donor: int):
     paths = _interior_paths(g, recipient, donor)
     if not paths:
         return None
-    assert len(paths) == 1, "two qualifying paths would put the endpoints on a cycle"
+    if len(paths) != 1:
+        raise RuntimeError("two qualifying paths would put the endpoints on a cycle")
     path = paths[0]
     dropped = {(min(a, b), max(a, b)) for a, b in zip(path, path[1:])}
     x_side = _component(g, recipient, dropped) - {recipient}

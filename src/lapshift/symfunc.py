@@ -6,27 +6,47 @@ class function on the symmetric group.  Those class functions, paired with
 the part-multiplicity binomials from the partitions module, are what the
 orientation census formulas consume.
 
-Kostka numbers are counted directly as semistandard tableaux; the inverse
-Kostka matrix comes from inverting the unitriangular Kostka matrix over the
-integers.
+Every value is read from exact integer tables built once per n, rows by
+shape and columns by cycle type, both in canonical partition order:
+
+- h_lam is the permutation character of the Young subgroup S_lam: on the
+  class nu it counts the ways to place nu's cycles into lam's labelled
+  blocks so that every block is filled exactly.  e_lam is that count times
+  the sign of nu.
+- The Kostka matrix is K[lam][mu] = <chi_lam, h_mu>, a class-size-weighted
+  integer sum over the character table divided by n!.  Its inverse comes
+  from back substitution over the integers, and m_lam is the
+  inverse-Kostka-weighted sum of characters.
+- The binomial pairings of a basis element are one product of its row with
+  the partition binomial matrix of n.
+
+`kostka` still counts semistandard tableaux directly; no table is built
+from it, and the tests hold the tables to it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
+from math import factorial
+from operator import mul
+from types import MappingProxyType
 
-from .characters import character
+from .characters import character_table
 from .errors import InvalidInputError
 from .partitions import (
     Partition,
     centralizer_order,
+    class_size,
     dominates,
     enumerate_partitions,
     partition_binomial,
 )
 
 BASES = ("s", "e", "h", "p", "m")
+
+Table = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -51,10 +71,6 @@ class ClassFunction:
 
     def as_dict(self) -> dict[Partition, int]:
         return dict(self.values)
-
-
-def _class_function(n: int, mapping: dict[Partition, int]) -> ClassFunction:
-    return ClassFunction(n, tuple((nu, mapping.get(nu, 0)) for nu in enumerate_partitions(n)))
 
 
 def kostka(mu: Partition, lam: Partition) -> int:
@@ -91,14 +107,91 @@ def kostka(mu: Partition, lam: Partition) -> int:
 
 
 @cache
-def _kostka_matrix(n: int) -> tuple[tuple[int, ...], ...]:
-    """K[i][j] = kostka(shape_i, content_j) in canonical partition order."""
-    ps = enumerate_partitions(n)
-    return tuple(tuple(kostka(mu, lam) for lam in ps) for mu in ps)
+def _shapes(n: int) -> tuple[Partition, ...]:
+    """The partitions of n in canonical order, shared by every table of n."""
+    return tuple(enumerate_partitions(n))
 
 
 @cache
-def _kostka_inverse(n: int) -> tuple[tuple[int, ...], ...]:
+def _positions(n: int) -> dict[Partition, int]:
+    return {lam: i for i, lam in enumerate(_shapes(n))}
+
+
+def _young_characters(n: int) -> Table:
+    """H[i][j] = h_{shape_i} on class_j: the Young subgroup's permutation character.
+
+    Drops the cycles of class_j, largest first, into the labelled blocks of
+    shape_i so that every block fills exactly.  Blocks with the same room
+    left are interchangeable, so a state keeps only the sorted room left and
+    one placement stands for every block of that room.  The memo lives for
+    this one build.
+    """
+    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+
+    def fill(cycles: tuple[int, ...], room: tuple[int, ...]) -> int:
+        if not cycles:
+            return 1
+        key = (cycles, room)
+        if key in memo:
+            return memo[key]
+        head, rest = cycles[0], cycles[1:]
+        total = 0
+        for size in set(room):
+            if size < head:
+                continue
+            i = room.index(size)
+            left = room[:i] + room[i + 1 :]
+            if size > head:
+                left = tuple(sorted(left + (size - head,), reverse=True))
+            total += room.count(size) * fill(rest, left)
+        memo[key] = total
+        return total
+
+    shapes = _shapes(n)
+    return tuple(tuple(fill(nu.parts, lam.parts) for nu in shapes) for lam in shapes)
+
+
+@cache
+def _class_table(basis: str, n: int) -> Table:
+    """Row i is the class function of the basis element indexed by shape_i."""
+    if basis not in BASES:
+        raise InvalidInputError(f"unknown basis {basis!r}, expected one of {BASES}")
+    shapes = _shapes(n)
+    if basis == "s":
+        return character_table(n).rows
+    if basis == "p":
+        return tuple(
+            tuple(centralizer_order(lam) if nu == lam else 0 for nu in shapes) for lam in shapes
+        )
+    if basis == "h":
+        return _young_characters(n)
+    if basis == "e":
+        signs = tuple((-1) ** (n - len(nu)) for nu in shapes)
+        return tuple(tuple(map(mul, signs, row)) for row in _class_table("h", n))
+    columns = tuple(zip(*character_table(n).rows))
+    return tuple(
+        tuple(sum(map(mul, row, col)) for col in columns) for row in _kostka_inverse(n)
+    )
+
+
+@cache
+def _kostka_matrix(n: int) -> Table:
+    """K[i][j] = <chi_{shape_i}, h_{content_j}>, the Kostka numbers in canonical order.
+
+    The inner product weights each class by its size; the integer sum is
+    exactly divisible by n!.
+    """
+    sizes = tuple(class_size(nu) for nu in _shapes(n))
+    n_fact = factorial(n)
+    young = _class_table("h", n)
+    return tuple(
+        tuple(sum(map(mul, weighted, row)) // n_fact for row in young)
+        for weighted in (tuple(map(mul, sizes, chi)) for chi in character_table(n).rows)
+    )
+
+
+@cache
+def _kostka_inverse(n: int) -> Table:
     """Integer inverse of the Kostka matrix.
 
     In canonical order the matrix is upper triangular with unit diagonal
@@ -116,10 +209,8 @@ def _kostka_inverse(n: int) -> tuple[tuple[int, ...], ...]:
 
 def inverse_kostka_row(lam: Partition) -> dict[Partition, int]:
     """Coefficients expressing the monomial m_lam over the schur basis."""
-    ps = enumerate_partitions(lam.n)
-    inv = _kostka_inverse(lam.n)
-    i = ps.index(lam)
-    return {mu: inv[i][j] for j, mu in enumerate(ps) if inv[i][j] != 0}
+    row = _kostka_inverse(lam.n)[_positions(lam.n)[lam]]
+    return {mu: c for mu, c in zip(_shapes(lam.n), row) if c != 0}
 
 
 @cache
@@ -127,62 +218,50 @@ def inverse_frobenius(basis: str, lam: Partition) -> ClassFunction:
     """Class function whose Frobenius characteristic is the named basis element.
 
     basis "s" gives the irreducible character itself; "p" a scaled class
-    indicator; "h" and "e" Kostka-weighted character sums (conjugating the
-    shape for "e"); "m" the inverse-Kostka-weighted sum.
+    indicator; "h" the permutation character of the Young subgroup S_lam;
+    "e" that character times the sign; "m" the inverse-Kostka-weighted sum
+    of characters.
     """
-    if basis not in BASES:
-        raise InvalidInputError(f"unknown basis {basis!r}, expected one of {BASES}")
-    n = lam.n
-    classes = enumerate_partitions(n)
-    if basis == "s":
-        vals = {nu: character(lam, nu) for nu in classes}
-    elif basis == "p":
-        vals = {nu: (centralizer_order(lam) if nu == lam else 0) for nu in classes}
-    elif basis == "h":
-        vals = {
-            nu: sum(kostka(mu, lam) * character(mu, nu) for mu in classes) for nu in classes
-        }
-    elif basis == "e":
-        vals = {
-            nu: sum(kostka(mu.conjugate(), lam) * character(mu, nu) for mu in classes)
-            for nu in classes
-        }
-    else:
-        row = inverse_kostka_row(lam)
-        vals = {
-            nu: sum(coeff * character(mu, nu) for mu, coeff in row.items()) for nu in classes
-        }
-    return _class_function(n, vals)
+    row = _class_table(basis, lam.n)[_positions(lam.n)[lam]]
+    return ClassFunction(lam.n, tuple(zip(_shapes(lam.n), row)))
 
 
 @cache
+def _binomial_matrix(n: int) -> Table:
+    """B[k][j] = partition_binomial(shape_k, class_j), rows by orientation type."""
+    shapes = _shapes(n)
+    return tuple(tuple(partition_binomial(mu, nu) for nu in shapes) for mu in shapes)
+
+
+@cache
+def basis_binomial_row(basis: str, lam: Partition) -> Mapping[Partition, int]:
+    """basis_binomial(basis, lam, mu) for every orientation type mu of lam.n.
+
+    One product of lam's class-function row with the partition binomial
+    matrix; the mapping is read-only because every caller shares it.
+    """
+    n = lam.n
+    f = _class_table(basis, n)[_positions(n)[lam]]
+    return MappingProxyType(
+        {mu: sum(map(mul, f, b)) for mu, b in zip(_shapes(n), _binomial_matrix(n))}
+    )
+
+
+def basis_binomial(basis: str, lam: Partition, mu: Partition) -> int:
+    """character_binomial with the character replaced by any basis class function."""
+    if lam.n != mu.n:
+        raise InvalidInputError(f"partitions of different integers: {lam.parts} vs {mu.parts}")
+    return basis_binomial_row(basis, lam)[mu]
+
+
 def character_binomial(lam: Partition, mu: Partition) -> int:
     """Binomial-weighted character sum pairing a shape with an orientation type.
 
     Sums chi_lam(nu) * partition_binomial(mu, nu) over all cycle types nu.
     The result is always nonnegative; that fact underpins every census
-    comparison downstream, so it is asserted here.
+    comparison downstream, so it is checked here.
     """
-    if lam.n != mu.n:
-        raise InvalidInputError(f"partitions of different integers: {lam.parts} vs {mu.parts}")
-    total = 0
-    for nu in enumerate_partitions(lam.n):
-        b = partition_binomial(mu, nu)
-        if b:
-            total += character(lam, nu) * b
-    assert total >= 0, f"negative character binomial for {lam.parts}, {mu.parts}"
-    return total
-
-
-@cache
-def basis_binomial(basis: str, lam: Partition, mu: Partition) -> int:
-    """character_binomial with the character replaced by any basis class function."""
-    if lam.n != mu.n:
-        raise InvalidInputError(f"partitions of different integers: {lam.parts} vs {mu.parts}")
-    f = inverse_frobenius(basis, lam)
-    total = 0
-    for nu in enumerate_partitions(lam.n):
-        b = partition_binomial(mu, nu)
-        if b:
-            total += f(nu) * b
+    total = basis_binomial("s", lam, mu)
+    if total < 0:
+        raise ArithmeticError(f"negative character binomial for {lam.parts}, {mu.parts}")
     return total

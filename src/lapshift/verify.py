@@ -21,7 +21,7 @@ from math import factorial, sqrt
 
 from .canon import canonical_form
 from .characters import character_degree, character_table
-from .errors import InvalidInputError
+from .errors import CapacityError, InvalidInputError
 from .families import (
     FamilySpec,
     connected_bipartite_graphs,
@@ -588,6 +588,8 @@ def _run_one(check_id: str, config: SuiteConfig) -> CheckReport:
     repro = f"lapshift verify --only {check_id}"
     try:
         passed, description, expected, actual = CHECKS[check_id](config)
+    except CapacityError:
+        raise  # a refused enumeration is a refused run, not a failed check
     except Exception as exc:  # a crashed check is a failed check
         passed, description = False, f"check raised {type(exc).__name__}"
         expected, actual = "no exception", str(exc)

@@ -1,7 +1,12 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lapshift
 from lapshift.cli import main
 from lapshift.graphs import format_edge_list, path_graph, star_graph
 
@@ -193,3 +198,27 @@ def test_capacity_exit_code(graph_file, capsys):
 def test_disconnected_wiener_is_input_error(graph_file, capsys):
     assert main(["wiener", graph_file("4 2\n1 2\n3 4\n")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_verify_capacity_exit_code(capsys):
+    # a refused enumeration inside a check exits 3, like every other command
+    assert main(["verify", "--only", "poset-extremes", "--max-n", "13"]) == 3
+    captured = capsys.readouterr()
+    assert "capacity exceeded" in captured.err
+    assert "FAIL" not in captured.out
+
+
+@pytest.mark.parametrize("module", ["lapshift", "lapshift.cli"])
+def test_python_dash_m_runs_verify(module):
+    package_root = str(Path(lapshift.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", module, "verify", "--only", "kostka-inverse"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0].startswith("PASS kostka-inverse")

@@ -95,6 +95,16 @@ def test_bipartite_detection():
     assert ok
 
 
+def test_bipartite_result_is_kept_but_copied():
+    g = path_graph(4)
+    ok, colour = is_bipartite(g)
+    colour[1] = colour[2]
+    again = is_bipartite(g)
+    assert again[0] and again[1][1] != again[1][2]
+    odd = cycle_graph(5)
+    assert is_bipartite(odd) == is_bipartite(odd) == (False, None)
+
+
 def test_wiener_index_frozen():
     assert wiener_index(path_graph(4)) == 10
     assert wiener_index(star_graph(4)) == 9

@@ -10,6 +10,7 @@ from lapshift.graphs import Graph, cycle_graph, laplacian, path_graph, star_grap
 from lapshift.immanants import immanant_by_shape, immanantal_polynomial
 from lapshift.orientations import (
     VertexOrientation,
+    census_transform,
     classify_type,
     enumerate_orientations,
     immanant_via_orientations,
@@ -123,6 +124,8 @@ def test_census_transform_rejects():
         immanant_via_orientations(path_graph(4), Partition([3]))
     with pytest.raises(InvalidInputError):
         immanant_via_orientations(path_graph(4), Partition([4]), basis="q")
+    with pytest.raises(InvalidInputError):
+        census_transform(path_graph(4), {Partition([3]): 1}, Partition([4]), "s")
 
 
 def test_capacity_cap():

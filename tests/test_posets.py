@@ -1,5 +1,6 @@
 import pytest
 
+from lapshift import posets
 from lapshift.canon import canonical_form
 from lapshift.errors import DomainError
 from lapshift.families import free_trees, path_form, star_form, unicyclic_family
@@ -112,3 +113,10 @@ def test_csv_export():
     flags = [line.split(",")[2:] for line in lines[1:]]
     assert sum(int(is_max) for is_max, _ in flags) == 1
     assert sum(int(is_min) for _, is_min in flags) == 1
+
+
+def test_shift_onto_itself_raises(monkeypatch):
+    # the invariant must survive python -O, so it is an exception, not an assert
+    monkeypatch.setattr(posets, "apply_shift", lambda g, move: g)
+    with pytest.raises(RuntimeError, match="isomorphic to its input"):
+        build_poset(free_trees(5))

@@ -4,6 +4,7 @@ import pytest
 
 from oracles import are_isomorphic
 
+from lapshift import shifts
 from lapshift.canon import canonical_form
 from lapshift.errors import DomainError, InvalidInputError
 from lapshift.graphs import Graph, cycle_graph, path_graph, star_graph
@@ -157,3 +158,10 @@ def test_unicyclic_shift_moves_tail_onto_cycle():
     h = apply_shift(g, move)
     assert h.num_edges == g.num_edges
     assert shift_applicable(g, 1, 3) is None
+
+
+def test_two_qualifying_paths_raise(monkeypatch):
+    # the invariant must survive python -O, so it is an exception, not an assert
+    monkeypatch.setattr(shifts, "_interior_paths", lambda g, u, k: [(1, 2, 3), (1, 4, 3)])
+    with pytest.raises(RuntimeError, match="on a cycle"):
+        shift_applicable(path_graph(4), 1, 3)

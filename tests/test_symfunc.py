@@ -2,15 +2,23 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import monomial_in_power
+from oracles import monomial_in_power, power_in_monomial
 
+from lapshift import symfunc
 from lapshift.characters import character, character_degree
 from lapshift.errors import InvalidInputError
-from lapshift.partitions import Partition, centralizer_order, enumerate_partitions
+from lapshift.partitions import (
+    Partition,
+    centralizer_order,
+    enumerate_partitions,
+    partition_binomial,
+)
 from lapshift.symfunc import (
     BASES,
     ClassFunction,
+    _kostka_matrix,
     basis_binomial,
+    basis_binomial_row,
     character_binomial,
     inverse_frobenius,
     inverse_kostka_row,
@@ -191,3 +199,84 @@ def test_positive_bases_binomials_nonnegative():
             for lam in enumerate_partitions(n):
                 for mu in enumerate_partitions(n):
                     assert basis_binomial(basis, lam, mu) >= 0
+
+
+# ---------------------------------------------------------------------------
+# the tables against the tableau counts and the power-sum expansion
+
+
+def _tableau_kostka(n):
+    shapes = enumerate_partitions(n)
+    return [[kostka(mu, lam) for lam in shapes] for mu in shapes]
+
+
+def _unitriangular_inverse(k):
+    size = len(k)
+    inv = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
+    for j in range(size):
+        for i in range(j - 1, -1, -1):
+            inv[i][j] = -sum(k[i][t] * inv[t][j] for t in range(i + 1, j + 1))
+    return inv
+
+
+def test_tables_match_kostka_weighted_character_sums():
+    # h_lam = sum K[mu][lam] s_mu, e_lam = sum K[mu'][lam] s_mu, and
+    # m_lam = sum Kinv[lam][mu] s_mu, with K counted as tableaux
+    for n in range(1, 8):
+        shapes = enumerate_partitions(n)
+        k = _tableau_kostka(n)
+        kinv = _unitriangular_inverse(k)
+        index = {mu: i for i, mu in enumerate(shapes)}
+        for j, lam in enumerate(shapes):
+            h = inverse_frobenius("h", lam)
+            e = inverse_frobenius("e", lam)
+            m = inverse_frobenius("m", lam)
+            for nu in shapes:
+                chars = [character(mu, nu) for mu in shapes]
+                assert h(nu) == sum(k[i][j] * c for i, c in enumerate(chars))
+                assert e(nu) == sum(
+                    k[index[mu.conjugate()]][j] * c for mu, c in zip(shapes, chars)
+                )
+                assert m(nu) == sum(kinv[j][i] * c for i, c in enumerate(chars))
+
+
+def test_complete_is_power_sum_monomial_coefficient():
+    # the Young permutation character h_lam(nu) is the coefficient of m_lam
+    # in the power-sum product p_nu
+    for n in range(1, 9):
+        shapes = enumerate_partitions(n)
+        for nu in shapes:
+            expansion = power_in_monomial(nu.parts, n)
+            for lam in shapes:
+                assert inverse_frobenius("h", lam)(nu) == expansion.get(lam.parts, 0)
+
+
+def test_kostka_matrix_matches_tableau_counts():
+    for n in range(0, 9):
+        assert _kostka_matrix(n) == tuple(tuple(row) for row in _tableau_kostka(n))
+
+
+def test_basis_binomial_matches_per_class_loop():
+    for n in range(1, 7):
+        shapes = enumerate_partitions(n)
+        for basis in BASES:
+            for lam in shapes:
+                f = inverse_frobenius(basis, lam)
+                for mu in shapes:
+                    loop = sum(f(nu) * partition_binomial(mu, nu) for nu in shapes)
+                    assert basis_binomial(basis, lam, mu) == loop
+
+
+def test_basis_binomial_row_is_read_only():
+    lam = Partition([2, 1])
+    row = basis_binomial_row("s", lam)
+    assert dict(row) == {mu: character_binomial(lam, mu) for mu in enumerate_partitions(3)}
+    with pytest.raises(TypeError):
+        row[Partition([3])] = 0
+
+
+def test_negative_character_binomial_raises(monkeypatch):
+    # the check must survive python -O, so it is an exception, not an assert
+    monkeypatch.setattr(symfunc, "basis_binomial", lambda basis, lam, mu: -1)
+    with pytest.raises(ArithmeticError, match="negative character binomial"):
+        character_binomial(Partition([2]), Partition([2]))

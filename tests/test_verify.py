@@ -1,6 +1,6 @@
 import pytest
 
-from lapshift.errors import InvalidInputError
+from lapshift.errors import CapacityError, InvalidInputError
 from lapshift.families import FamilySpec
 from lapshift.verify import (
     CHECKS,
@@ -100,6 +100,15 @@ def test_crashing_check_becomes_failure(monkeypatch):
     assert not reports[0].passed
     assert "RuntimeError" in reports[0].description
     assert reports[0].actual == "exploded"
+
+
+def test_capacity_error_is_not_a_failed_check(monkeypatch):
+    def refuse(config):
+        raise CapacityError("too many")
+
+    monkeypatch.setitem(CHECKS, "refuse", refuse)
+    with pytest.raises(CapacityError):
+        run_suite(SuiteConfig(only="refuse", **SMALL))
 
 
 def test_format_reports_deterministic():
