@@ -122,16 +122,12 @@ def cmd_verify(args) -> int:
     mapping: dict[str, str] = {}
     if args.config is not None:
         mapping.update(load_config_file(args.config))
-    env_dir = os.environ.get(OUTPUT_DIR_ENV)
-    if env_dir is not None:
-        mapping["output_dir"] = env_dir
     overrides = {
         "max_n": args.max_n,
         "families": args.families,
         "bases": args.bases,
         "tol": args.tol,
         "census_cap": args.census_cap,
-        "output_dir": args.output_dir,
         "jobs": args.jobs,
         "only": args.only,
     }
@@ -205,7 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bases", default=None, help="comma-separated subset of s,e,h,p,m")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--census-cap", type=int, default=None, dest="census_cap")
-    p.add_argument("--output-dir", default=None)
     p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--only", default=None, help="run a single check id")
     p.add_argument("--inject-fault", action="store_true", help="corrupt one entry (smoke test)")

@@ -7,7 +7,6 @@ ints, row i describing vertex i+1, so they can key caches directly.
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 
 import numpy as np
 
@@ -270,8 +269,3 @@ def format_edge_list(g: Graph) -> str:
     lines = [f"{g.n} {g.num_edges}"]
     lines.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
-
-
-def exact_rational(value: int | Fraction) -> Fraction:
-    """Normalize to a Fraction; shared helper for exact comparisons."""
-    return Fraction(value)

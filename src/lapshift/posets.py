@@ -48,7 +48,7 @@ def _assert_acyclic(n: int, arcs: set[tuple[int, int]]) -> None:
             v, it = stack[-1]
             for w in it:
                 if state[w] == 1:
-                    raise AssertionError("shift arcs form a cycle")
+                    raise RuntimeError("shift arcs form a cycle")
                 if state[w] == 0:
                     state[w] = 1
                     stack.append((w, iter(succ[w])))

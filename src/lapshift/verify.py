@@ -73,7 +73,6 @@ class SuiteConfig:
     bases: tuple[str, ...] = MONOTONE_BASES
     tol: float = 1e-8
     census_cap: int = FULL_CENSUS_CAP
-    output_dir: str = "."
     jobs: int = 0
     inject_fault: bool = False
     only: str | None = None
@@ -126,7 +125,6 @@ def config_from_mapping(mapping: dict[str, str]) -> SuiteConfig:
         "bases": lambda s: tuple(b.strip() for b in s.split(",") if b.strip()),
         "tol": float,
         "census_cap": int,
-        "output_dir": str,
         "jobs": int,
         "inject_fault": lambda s: s.lower() in ("1", "true", "yes"),
         "only": str,
@@ -164,8 +162,8 @@ def _poset(kind: str, n: int, cycle_len: int | None) -> HasseDiagram:
 
 
 @cache
-def _censuses(g: Graph) -> dict[int, dict[Partition, int]]:
-    return {r: subset_orientation_census(g, r) for r in range(g.n + 1)}
+def _censuses(g: Graph, cap: int) -> dict[int, dict[Partition, int]]:
+    return {r: subset_orientation_census(g, r, cap) for r in range(g.n + 1)}
 
 
 def _cover_instances(spec: FamilySpec):
@@ -306,7 +304,7 @@ def _check_census_coefficients(config: SuiteConfig):
     checked = 0
     for index, g in enumerate(_bipartite_corpus()):
         matrix = laplacian(g)
-        censuses = _censuses(g)
+        censuses = _censuses(g, config.census_cap)
         for basis in BASES:
             for lam in enumerate_partitions(g.n):
                 direct = immanantal_polynomial(matrix, inverse_frobenius(basis, lam))
@@ -380,10 +378,10 @@ def _check_normalized_sandwich(config: SuiteConfig):
 
 
 def _check_census_monotonicity(config: SuiteConfig):
-    covers = 0
+    covers, cap = 0, config.census_cap
     for spec in _monotone_posets(config):
         for below, move, above in _cover_instances(spec):
-            lower, upper = _censuses(below), _censuses(above)
+            lower, upper = _censuses(below, cap), _censuses(above, cap)
             for r in range(below.n + 1):
                 for mu, count in upper[r].items():
                     if count > lower[r].get(mu, 0):
@@ -403,10 +401,10 @@ def _check_census_monotonicity(config: SuiteConfig):
 
 def _check_coefficient_monotonicity(config: SuiteConfig):
     bases = tuple(b for b in config.bases if b in MONOTONE_BASES)
-    triples = 0
+    triples, cap = 0, config.census_cap
     for spec in _monotone_posets(config):
         for below, move, above in _cover_instances(spec):
-            lower, upper = _censuses(below), _censuses(above)
+            lower, upper = _censuses(below, cap), _censuses(above, cap)
             for lam in enumerate_partitions(below.n):
                 for basis in bases:
                     for r in range(below.n + 1):

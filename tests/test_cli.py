@@ -200,6 +200,21 @@ def test_disconnected_wiener_is_input_error(graph_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_census_cap_reaches_coefficients(capsys):
+    # the corpus still has graphs with two independent cycles, which are
+    # walked under the cap
+    assert main(["verify", "--census-cap", "1", "--only", "census-coefficients"]) == 3
+    captured = capsys.readouterr()
+    assert "exceed the cap of 1" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_has_no_output_dir(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--output-dir", ".", "--only", "kostka-inverse"])
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_verify_capacity_exit_code(capsys):
     # a refused enumeration inside a check exits 3, like every other command
     assert main(["verify", "--only", "poset-extremes", "--max-n", "13"]) == 3

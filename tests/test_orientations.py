@@ -1,15 +1,18 @@
 from itertools import combinations
-from math import prod
+from math import comb, prod
 
 import pytest
 
 from oracles import elementary_symmetric
 
 from lapshift.errors import CapacityError, DomainError, InvalidInputError
+from lapshift.families import connected_bipartite_graphs, free_trees, unicyclic_family
 from lapshift.graphs import Graph, cycle_graph, laplacian, path_graph, star_graph
 from lapshift.immanants import immanant_by_shape, immanantal_polynomial
 from lapshift.orientations import (
     VertexOrientation,
+    _cycle_rank,
+    _enumerated_census,
     census_transform,
     classify_type,
     enumerate_orientations,
@@ -129,10 +132,71 @@ def test_census_transform_rejects():
 
 
 def test_capacity_cap():
+    # K_{2,3} has two independent cycles, so its census walks orientations
+    k23 = Graph(5, [(u, v) for u in (1, 2) for v in (3, 4, 5)])
     with pytest.raises(CapacityError):
-        orientation_census(cycle_graph(4), cap=3)
+        orientation_census(k23, cap=3)
     with pytest.raises(CapacityError):
-        subset_orientation_census(cycle_graph(4), 2, cap=1)
+        subset_orientation_census(k23, 2, cap=1)
+    # one cycle takes the matching sum, which the cap does not bound
+    assert orientation_census(cycle_graph(4), cap=3) == {
+        Partition([4]): 2,
+        Partition([2, 2]): 2,
+        Partition([2, 1, 1]): 12,
+    }
+
+
+# graphs with at most one independent cycle: the matching sum against the walk
+ONE_CYCLE_CORPUS = {
+    "trees": lambda: [g for n in range(1, 10) for g in free_trees(n)],
+    "unicyclic": lambda: [
+        g for k in range(3, 7) for n in range(k + 1, 10) for g in unicyclic_family(n, k)
+    ],
+    "bipartite": lambda: [
+        g for n in range(1, 7) for g in connected_bipartite_graphs(n) if _cycle_rank(g) <= 1
+    ],
+    # one vertex; a forest with an isolated vertex; a 4-cycle beside a tree;
+    # a 5-cycle with a pendant path (counting needs no bipartition)
+    "small": lambda: [
+        Graph(1),
+        Graph(7, [(1, 2), (2, 3), (2, 4), (5, 6)]),
+        Graph(9, [(1, 2), (2, 3), (3, 4), (4, 1), (5, 6), (6, 7), (6, 8), (8, 9)]),
+        Graph(7, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (3, 6), (6, 7)]),
+    ],
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(ONE_CYCLE_CORPUS))
+def test_matching_sum_equals_enumeration(corpus):
+    graphs = ONE_CYCLE_CORPUS[corpus]()
+    assert graphs
+    for g in graphs:
+        assert _cycle_rank(g) <= 1
+        for r in range(g.n + 1):
+            assert subset_orientation_census(g, r) == _enumerated_census(g, r), (g, r)
+
+
+def test_matching_sum_on_a_forty_vertex_path():
+    # 8.1e16 orientations in all, far past the walk's cap.  The oracle sums
+    # over r-subsets, so it runs where C(40, r) is small; every r is also
+    # checked against e_r(1, 1, 2^38) in closed form.
+    g = path_graph(40)
+    degrees = [g.degree(v) for v in g.vertices()]
+    for r in range(g.n + 1):
+        census = subset_orientation_census(g, r)
+        total = sum(census.values())
+        ends = range(min(r, 2) + 1)
+        assert total == sum(comb(2, i) * 2 ** (r - i) * comb(38, r - i) for i in ends)
+        if comb(40, r) <= 10**5:
+            assert total == elementary_symmetric(degrees, r)
+        assert all(count > 0 for count in census.values())
+
+
+def test_cycle_rank_picks_the_backend():
+    assert _cycle_rank(path_graph(5)) == 0
+    assert _cycle_rank(SQUARE_WITH_TAIL) == 1
+    assert _cycle_rank(Graph(8, [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4)])) == 2
+    assert _cycle_rank(Graph(5, [(u, v) for u in (1, 2) for v in (3, 4, 5)])) == 2
 
 
 def _check_transport_exhaustively(g1, move):

@@ -120,3 +120,10 @@ def test_shift_onto_itself_raises(monkeypatch):
     monkeypatch.setattr(posets, "apply_shift", lambda g, move: g)
     with pytest.raises(RuntimeError, match="isomorphic to its input"):
         build_poset(free_trees(5))
+
+
+def test_cyclic_arcs_raise():
+    # the invariant must survive python -O, so it is an exception, not an assert
+    with pytest.raises(RuntimeError, match="form a cycle"):
+        posets._assert_acyclic(2, {(0, 1), (1, 0)})
+    posets._assert_acyclic(3, {(0, 1), (1, 2), (0, 2)})

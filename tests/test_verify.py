@@ -69,6 +69,11 @@ def test_config_from_mapping_rejects_unknown_keys():
         config_from_mapping({"families": "8-4"})
 
 
+def test_output_dir_is_not_a_config_key():
+    with pytest.raises(InvalidInputError, match="unknown configuration key"):
+        config_from_mapping({"output_dir": "."})
+
+
 def test_only_filter_runs_one_check():
     reports = run_suite(SuiteConfig(only="kostka-inverse", **SMALL))
     assert len(reports) == 1
