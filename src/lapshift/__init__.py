@@ -24,7 +24,6 @@ from .graphs import (
     complete_graph,
     cycle_graph,
     format_edge_list,
-    from_edge_list,
     is_bipartite,
     laplacian,
     parse_edge_list,

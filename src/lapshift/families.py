@@ -5,8 +5,9 @@ level sequences of rooted trees, deduplicated up to isomorphism.  The
 anchored unicyclic family on n vertices consists of a k-cycle with a rooted
 tree glued to one cycle vertex, one member per rooted tree shape, so its
 size is the number of rooted trees on n - k + 1 vertices.  The bipartite
-corpus enumerates all connected bipartite graphs on up to a handful of
-vertices, one representative per isomorphism class.
+corpus enumerates the connected spanning subgraphs of the complete
+bipartite graphs K_{a,n-a} on up to a handful of vertices, one
+representative per isomorphism class.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import combinations
 
 from .canon import canonical_form
 from .errors import CapacityError, DomainError
-from .graphs import Graph, is_bipartite
+from .graphs import Graph
 
 TREE_CAP = 12
 GLUED_TREE_CAP = 9
@@ -138,22 +139,24 @@ def path_form(n: int, cycle_len: int) -> Graph:
 
 @cache
 def connected_bipartite_graphs(n: int) -> tuple[Graph, ...]:
-    """Connected bipartite graphs on n vertices, one per isomorphism class."""
+    """Connected bipartite graphs on n vertices, one per isomorphism class.
+
+    A connected bipartite graph has one 2-colouring up to swapping the
+    colours, so every class is a connected spanning subgraph of K_{a,n-a}
+    on the sides {1..a} and {a+1..n} for some a <= n // 2.  The classes are
+    sorted by edge count, then by canonical form.
+    """
     if n > BIPARTITE_CAP:
         raise CapacityError(f"bipartite corpus capped at {BIPARTITE_CAP} vertices")
     if n == 1:
         return (Graph(1),)
-    pairs = list(combinations(range(1, n + 1), 2))
     found = {}
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        if len(edges) < n - 1:
-            continue
-        g = Graph(n, edges)
-        if not g.is_connected() or not is_bipartite(g)[0]:
-            continue
-        key = canonical_form(g)
-        if key not in found:
-            found[key] = g
-    graphs = sorted(found.values(), key=lambda g: (g.num_edges, canonical_form(g)))
-    return tuple(graphs)
+    for a in range(1, n // 2 + 1):
+        pairs = [(u, v) for u in range(1, a + 1) for v in range(a + 1, n + 1)]
+        for m in range(n - 1, len(pairs) + 1):
+            for edges in combinations(pairs, m):
+                g = Graph(n, edges)
+                if g.is_connected():
+                    found.setdefault(canonical_form(g), g)
+    order = sorted(found, key=lambda key: (found[key].num_edges, key))
+    return tuple(found[key] for key in order)

@@ -117,11 +117,6 @@ class Graph:
         return dist
 
 
-def from_edge_list(n: int, edges) -> Graph:
-    """Build a graph, validating labels, loops, and duplicates."""
-    return Graph(n, edges)
-
-
 def path_graph(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(1, n)])
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 
 from .errors import CapacityError, DomainError, InvalidInputError
@@ -311,6 +312,20 @@ def polynomial_via_orientations(
     return ImmanantalPolynomial(g.n, coefficients)
 
 
+@lru_cache(maxsize=8)
+def _transport_plan(g1: Graph, move: ShiftMove):
+    """(g2, moved, position) for one move: the shifted graph, the donor's
+    off-path neighbours, and each path vertex's index on the path.
+
+    Built once per (graph, move); apply_shift refuses a move built for
+    another graph.
+    """
+    g2 = apply_shift(g1, move)
+    moved = frozenset(w for w in g1.neighbors(move.donor) if w != move.path[-2])
+    position = {v: j for j, v in enumerate(move.path)}
+    return g2, moved, position
+
+
 def transport_orientation(
     g1: Graph, move: ShiftMove, orientation: VertexOrientation
 ) -> VertexOrientation:
@@ -322,10 +337,9 @@ def transport_orientation(
     the donor; everything off the path and away from the rewired edges is
     kept as is.
     """
-    g2 = apply_shift(g1, move)
+    g2, moved, position = _transport_plan(g1, move)
     validate_orientation(g2, orientation)
     u, k, path = move.recipient, move.donor, move.path
-    moved = frozenset(w for w in g1.neighbors(k) if w != path[-2])
     arrow = orientation.as_mapping()
 
     out: dict[int, int] = {}
@@ -336,7 +350,6 @@ def transport_orientation(
             else:
                 out[s] = t
     else:
-        position = {v: j for j, v in enumerate(path)}
         m = len(path)
         for s, t in arrow.items():
             if s == u:

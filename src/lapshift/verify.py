@@ -46,6 +46,7 @@ from .immanants import (
 )
 from .orientations import (
     FULL_CENSUS_CAP,
+    _elementary_symmetric,
     census_transform,
     classify_type,
     enumerate_orientations,
@@ -430,6 +431,14 @@ def _check_transport_injectivity(config: SuiteConfig):
     mapped = 0
     for spec in _monotone_posets(config):
         for below, move, above in _cover_instances(spec):
+            degrees = [above.degree(v) for v in above.vertices()]
+            walk = sum(_elementary_symmetric(degrees, r) for r in range(above.n + 1))
+            if walk > config.census_cap:
+                raise CapacityError(
+                    f"transport walk of {walk} orientations on a {spec.kind} cover "
+                    f"({move.serialize()}) exceeds the cap of {config.census_cap} "
+                    f"(raise it with --census-cap)"
+                )
             for r in range(below.n + 1):
                 images = set()
                 for domain in combinations(above.vertices(), r):

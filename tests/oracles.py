@@ -169,6 +169,32 @@ def are_isomorphic(n: int, edges_a, edges_b) -> bool:
     return False
 
 
+def connected_bipartite_edge_sets(n: int):
+    """Every edge subset of K_n that is connected and 2-colourable, labelled.
+
+    All 2^(n(n-1)/2) subsets, each tested by breadth-first 2-colouring.
+    """
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    for mask in range(1 << len(pairs)):
+        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+        adjacent = {v: [] for v in range(1, n + 1)}
+        for u, v in edges:
+            adjacent[u].append(v)
+            adjacent[v].append(u)
+        colour = {1: 0}
+        queue = [1]
+        proper = True
+        for v in queue:
+            for w in adjacent[v]:
+                if w not in colour:
+                    colour[w] = 1 - colour[v]
+                    queue.append(w)
+                elif colour[w] == colour[v]:
+                    proper = False
+        if proper and len(colour) == n:
+            yield edges
+
+
 def hook_length_degree(shape) -> int:
     """Number of standard Young tableaux of the shape, by the hook formula."""
     from math import factorial

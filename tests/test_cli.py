@@ -209,6 +209,15 @@ def test_verify_census_cap_reaches_coefficients(capsys):
     assert captured.out == ""
 
 
+def test_verify_census_cap_reaches_transport(capsys):
+    # transport walks every orientation of each cover's upper graph
+    assert main(["verify", "--census-cap", "1", "--only", "transport-injectivity"]) == 3
+    captured = capsys.readouterr()
+    assert "transport walk of" in captured.err
+    assert "exceeds the cap of 1" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_has_no_output_dir(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--output-dir", ".", "--only", "kostka-inverse"])

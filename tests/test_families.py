@@ -1,5 +1,7 @@
 import pytest
 
+from oracles import connected_bipartite_edge_sets
+
 from lapshift.canon import canonical_form
 from lapshift.errors import CapacityError, DomainError
 from lapshift.families import (
@@ -13,12 +15,12 @@ from lapshift.families import (
     tree_from_levels,
     unicyclic_family,
 )
-from lapshift.graphs import is_bipartite, path_graph, star_graph
+from lapshift.graphs import Graph, is_bipartite, path_graph, star_graph
 from lapshift.shifts import is_tree
 
 ROOTED_COUNTS = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]
 FREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
-BIPARTITE_COUNTS = [1, 1, 1, 3, 5, 17]
+BIPARTITE_COUNTS = [1, 1, 1, 3, 5, 17, 44]  # OEIS A005142
 
 
 def test_rooted_tree_counts():
@@ -129,3 +131,15 @@ def test_bipartite_corpus():
     corpus = connected_bipartite_graphs(6)
     counts = [g.num_edges for g in corpus]
     assert counts == sorted(counts)
+
+
+def test_bipartite_corpus_matches_exhaustive_enumeration():
+    # the corpus is built from 2-colourings; the oracle walks every edge
+    # subset of K_n, and both must give the same classes in the same order
+    for n in range(1, 7):
+        oracle = {}
+        for edges in connected_bipartite_edge_sets(n):
+            g = Graph(n, edges)
+            oracle.setdefault(canonical_form(g), g.num_edges)
+        expected = sorted(oracle, key=lambda form: (oracle[form], form))
+        assert [canonical_form(g) for g in connected_bipartite_graphs(n)] == expected

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, zip_longest
 from math import comb, prod
 
 import pytest
@@ -13,6 +13,7 @@ from lapshift.orientations import (
     VertexOrientation,
     _cycle_rank,
     _enumerated_census,
+    _transport_plan,
     census_transform,
     classify_type,
     enumerate_orientations,
@@ -221,3 +222,38 @@ def test_transport_with_cycle_and_tail():
     # donor two steps down the tail: exercises the path-reversal branch
     g1 = Graph(7, [(1, 2), (2, 3), (3, 4), (4, 1), (4, 5), (5, 6), (6, 7)])
     _check_transport_exhaustively(g1, resolve_move(g1, 4, 6))
+
+
+def _orientations_of(g):
+    for r in range(g.n + 1):
+        for domain in combinations(g.vertices(), r):
+            yield from enumerate_orientations(g, domain)
+
+
+def test_transport_plan_follows_graph_and_move():
+    # calls for two covers, interleaved, each against a call on a cold cache
+    tail = Graph(7, [(1, 2), (2, 3), (3, 4), (4, 1), (4, 5), (5, 6), (6, 7)])
+    covers = [(path_graph(5), resolve_move(path_graph(5), 2, 4)), (tail, resolve_move(tail, 4, 6))]
+    streams = [
+        [(g1, move, o) for o in _orientations_of(apply_shift(g1, move))] for g1, move in covers
+    ]
+    calls = [call for pair in zip_longest(*streams) for call in pair if call is not None]
+    warm = [transport_orientation(g1, move, o) for g1, move, o in calls]
+    for (g1, move, o), image in zip(calls, warm):
+        _transport_plan.cache_clear()
+        assert transport_orientation(g1, move, o) == image
+
+
+def test_transport_plan_refuses_a_foreign_move():
+    move = resolve_move(path_graph(4), 2, 3)
+    o = VertexOrientation.from_mapping({1: 2})
+    transport_orientation(path_graph(4), move, o)  # the plan is now cached
+    with pytest.raises(InvalidInputError):
+        transport_orientation(star_graph(4), move, o)
+    # a warm plan still validates the orientation against the shifted graph
+    with pytest.raises(InvalidInputError):
+        transport_orientation(path_graph(4), move, VertexOrientation.from_mapping({1: 4}))
+
+
+def test_transport_plan_cache_is_bounded():
+    assert _transport_plan.cache_info().maxsize is not None
