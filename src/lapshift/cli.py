@@ -201,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bases", default=None, help="comma-separated subset of s,e,h,p,m")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--census-cap", type=int, default=None, dest="census_cap")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=None, help="only 1: the checks run in order")
     p.add_argument("--only", default=None, help="run a single check id")
     p.add_argument("--inject-fault", action="store_true", help="corrupt one entry (smoke test)")
     p.add_argument("--timings", action="store_true", help="append wall times (non-deterministic)")

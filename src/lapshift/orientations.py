@@ -30,6 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .errors import CapacityError, DomainError, InvalidInputError
 from .graphs import Graph, is_bipartite
@@ -76,24 +77,33 @@ def validate_orientation(g: Graph, orientation: VertexOrientation) -> None:
 
 def classify_type(g: Graph, orientation: VertexOrientation) -> Partition:
     """Cycle type of the orientation's functional digraph, padded with 1s."""
-    arrow = dict(orientation.arrows)
-    state: dict[int, int] = {}
-    cycle_parts = []
-    for start in arrow:
-        if state.get(start, 0):
-            continue
-        trail = []
-        v = start
-        while v in arrow and state.get(v, 0) == 0:
-            state[v] = 1
-            trail.append(v)
-            v = arrow[v]
-        if v in arrow and state[v] == 1:
-            cycle_parts.append(len(trail) - trail.index(v))
-        for w in trail:
-            state[w] = 2
+    cycle_parts = _cycle_lengths(dict(orientation.arrows))
     fixed = g.n - sum(cycle_parts)
     return Partition(sorted(cycle_parts, reverse=True) + [1] * fixed)
+
+
+def _cycle_lengths(arrow: dict[int, int]) -> list[int]:
+    """Lengths of the directed cycles of an arrow map, in the order found.
+
+    Vertices are stamped with a running clock as they are walked; a walk
+    that reaches a vertex stamped since it began has closed a cycle, and one
+    that reaches an earlier walk's vertex, or leaves the domain, has not.
+    """
+    stamp: dict[int, int] = {}
+    lengths = []
+    clock = 0
+    for start in arrow:
+        if start in stamp:
+            continue
+        began = clock
+        v = start
+        while v is not None and v not in stamp:
+            stamp[v] = clock
+            clock += 1
+            v = arrow.get(v)
+        if v is not None and stamp[v] >= began:
+            lengths.append(clock - stamp[v])
+    return lengths
 
 
 def enumerate_orientations(g: Graph, domain):
@@ -312,18 +322,55 @@ def polynomial_via_orientations(
     return ImmanantalPolynomial(g.n, coefficients)
 
 
-@lru_cache(maxsize=8)
-def _transport_plan(g1: Graph, move: ShiftMove):
-    """(g2, moved, position) for one move: the shifted graph, the donor's
-    off-path neighbours, and each path vertex's index on the path.
+class _TransportPlan(NamedTuple):
+    """One move's transport data: the shifted graph, the move's ends and
+    path, the donor's off-path neighbours, and each path vertex's index."""
 
-    Built once per (graph, move); apply_shift refuses a move built for
-    another graph.
-    """
+    shifted: Graph
+    recipient: int
+    donor: int
+    path: tuple[int, ...]
+    moved: frozenset[int]
+    position: dict[int, int]
+
+
+@lru_cache(maxsize=8)
+def _transport_plan(g1: Graph, move: ShiftMove) -> _TransportPlan:
+    """Built once per (graph, move); apply_shift refuses a move built for
+    another graph."""
     g2 = apply_shift(g1, move)
     moved = frozenset(w for w in g1.neighbors(move.donor) if w != move.path[-2])
     position = {v: j for j, v in enumerate(move.path)}
-    return g2, moved, position
+    return _TransportPlan(g2, move.recipient, move.donor, move.path, moved, position)
+
+
+def _transport_arrows(plan: _TransportPlan, arrow: dict[int, int]) -> dict[int, int]:
+    """The transport map on arrow maps (source -> target), unvalidated.
+
+    When the recipient points at a moved vertex, the recipient-to-donor
+    path is reversed: each path vertex's arrow is mirrored onto the path
+    vertex at the same distance from the other end.
+    """
+    _, u, k, path, moved, position = plan
+    if arrow.get(u) not in moved:
+        return {s: k if t == u and s in moved else t for s, t in arrow.items()}
+    m = len(path)
+    out: dict[int, int] = {}
+    for s, t in arrow.items():
+        if s == u:
+            out[k] = t
+        elif s in position:
+            j = position[s]
+            mirrored = path[m - 1 - j]
+            if position[t] < j:
+                out[mirrored] = path[m - j]
+            else:
+                out[mirrored] = path[m - 2 - j]
+        elif s in moved and t == u:
+            out[s] = k
+        else:
+            out[s] = t
+    return out
 
 
 def transport_orientation(
@@ -337,35 +384,8 @@ def transport_orientation(
     the donor; everything off the path and away from the rewired edges is
     kept as is.
     """
-    g2, moved, position = _transport_plan(g1, move)
-    validate_orientation(g2, orientation)
-    u, k, path = move.recipient, move.donor, move.path
-    arrow = orientation.as_mapping()
-
-    out: dict[int, int] = {}
-    if arrow.get(u) not in moved:
-        for s, t in arrow.items():
-            if s in moved and t == u:
-                out[s] = k
-            else:
-                out[s] = t
-    else:
-        m = len(path)
-        for s, t in arrow.items():
-            if s == u:
-                out[k] = t
-            elif s in position:
-                j = position[s]
-                mirrored = path[m - 1 - j]
-                if position[t] < j:
-                    out[mirrored] = path[m - j]
-                else:
-                    out[mirrored] = path[m - 2 - j]
-            elif s in moved and t == u:
-                out[s] = k
-            else:
-                out[s] = t
-
-    result = VertexOrientation.from_mapping(out)
+    plan = _transport_plan(g1, move)
+    validate_orientation(plan.shifted, orientation)
+    result = VertexOrientation.from_mapping(_transport_arrows(plan, orientation.as_mapping()))
     validate_orientation(g1, result)
     return result

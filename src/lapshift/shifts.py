@@ -64,40 +64,6 @@ def _component(g: Graph, start: int, dropped_edges: set[tuple[int, int]]) -> set
     return seen
 
 
-def _connected_avoiding(g: Graph, u: int, v: int, skip_vertex=None, skip_edge=None) -> bool:
-    if u == skip_vertex or v == skip_vertex:
-        return False
-    seen = {u}
-    queue = deque([u])
-    while queue:
-        a = queue.popleft()
-        if a == v:
-            return True
-        for b in g.neighbors(a):
-            if b == skip_vertex or b in seen:
-                continue
-            if skip_edge and (min(a, b), max(a, b)) == skip_edge:
-                continue
-            seen.add(b)
-            queue.append(b)
-    return v in seen
-
-
-def share_cycle(g: Graph, u: int, v: int) -> bool:
-    """Whether some cycle of g passes through both vertices."""
-    if u == v:
-        raise InvalidInputError("share_cycle needs two distinct vertices")
-    if g.has_edge(u, v):
-        return _connected_avoiding(g, u, v, skip_edge=(min(u, v), max(u, v)))
-    if not _connected_avoiding(g, u, v):
-        return False
-    return all(
-        _connected_avoiding(g, u, v, skip_vertex=w)
-        for w in g.vertices()
-        if w not in (u, v)
-    )
-
-
 def _interior_paths(g: Graph, u: int, k: int):
     """Paths from u to k whose interior vertices all have degree 2."""
     found = []
@@ -114,21 +80,29 @@ def _interior_paths(g: Graph, u: int, k: int):
 
 
 def shift_applicable(g: Graph, recipient: int, donor: int):
-    """The ShiftMove for this ordered pair, or None when no move exists."""
+    """The ShiftMove for this ordered pair, or None when no move exists.
+
+    The ends share a cycle exactly when the donor is still reachable from
+    the recipient once the first qualifying path's edges are dropped: a
+    second route cannot pass the path's interior, whose vertices have
+    degree 2, so it closes a cycle with the path; and a cycle through both
+    ends holds two internally disjoint routes, at most one of them the path.
+    """
     if recipient == donor:
         raise InvalidInputError("recipient and donor must differ")
     g._check_vertex(recipient)
     g._check_vertex(donor)
-    if share_cycle(g, recipient, donor):
-        return None
     paths = _interior_paths(g, recipient, donor)
     if not paths:
         return None
-    if len(paths) != 1:
-        raise RuntimeError("two qualifying paths would put the endpoints on a cycle")
     path = paths[0]
     dropped = {(min(a, b), max(a, b)) for a, b in zip(path, path[1:])}
-    x_side = _component(g, recipient, dropped) - {recipient}
+    reach = _component(g, recipient, dropped)
+    if donor in reach:
+        return None
+    if len(paths) != 1:
+        raise RuntimeError("two qualifying paths would put the endpoints on a cycle")
+    x_side = reach - {recipient}
     y_side = _component(g, donor, dropped) - {donor}
     return ShiftMove(recipient, donor, path, frozenset(x_side), frozenset(y_side))
 

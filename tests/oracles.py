@@ -2,13 +2,15 @@
 
 Everything here is written the slow, obvious way on purpose: explicit
 permutation sums, Fraction Gaussian elimination, Floyd-Warshall, brute-force
-isomorphism search.  None of it shares code paths with the package modules
+isomorphism search, a vertex-deletion cycle test.  None of it shares code paths with the package modules
 it checks.
 """
 
 from fractions import Fraction
 from itertools import permutations
 from math import prod
+
+from lapshift.errors import InvalidInputError
 
 
 def cycle_type_of(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -167,6 +169,77 @@ def are_isomorphic(n: int, edges_a, edges_b) -> bool:
         if mapped == set_b:
             return True
     return False
+
+
+def _connected_avoiding(g, u: int, v: int, skip_vertex=None, skip_edge=None) -> bool:
+    if u == skip_vertex or v == skip_vertex:
+        return False
+    seen = {u}
+    queue = [u]
+    for a in queue:
+        for b in g.neighbors(a):
+            if b == skip_vertex or b in seen:
+                continue
+            if skip_edge and (min(a, b), max(a, b)) == skip_edge:
+                continue
+            seen.add(b)
+            queue.append(b)
+    return v in seen
+
+
+def share_cycle(g, u: int, v: int) -> bool:
+    """Whether some cycle of g passes through both vertices (Menger).
+
+    Adjacent ends share a cycle when they stay connected without their edge;
+    other ends when no single third vertex separates them.
+    """
+    if u == v:
+        raise InvalidInputError("share_cycle needs two distinct vertices")
+    if g.has_edge(u, v):
+        return _connected_avoiding(g, u, v, skip_edge=(min(u, v), max(u, v)))
+    if not _connected_avoiding(g, u, v):
+        return False
+    return all(
+        _connected_avoiding(g, u, v, skip_vertex=w) for w in g.vertices() if w not in (u, v)
+    )
+
+
+def shift_move_by_share_cycle(g, recipient: int, donor: int):
+    """The path shift for an ordered pair, found the slow way: refuse ends
+    that share_cycle puts on a common cycle, then walk every neighbour of
+    the recipient along degree-2 vertices towards the donor.
+
+    None when there is no move, else (recipient, donor, path, x_side,
+    y_side) with the sides the vertices hanging off each end once the
+    path's edges are deleted.
+    """
+    if share_cycle(g, recipient, donor):
+        return None
+    paths = []
+    for first in sorted(g.neighbors(recipient)):
+        path = [recipient, first]
+        while path[-1] not in (donor, recipient) and g.degree(path[-1]) == 2:
+            path.append(next(w for w in g.neighbors(path[-1]) if w != path[-2]))
+        if path[-1] == donor:
+            paths.append(tuple(path))
+    if not paths:
+        return None
+    if len(paths) != 1:
+        raise RuntimeError("two qualifying paths would put the endpoints on a cycle")
+    path = paths[0]
+    dropped = {frozenset(e) for e in zip(path, path[1:])}
+
+    def side(end: int) -> frozenset:
+        seen = {end}
+        queue = [end]
+        for a in queue:
+            for b in g.neighbors(a):
+                if b not in seen and frozenset((a, b)) not in dropped:
+                    seen.add(b)
+                    queue.append(b)
+        return frozenset(seen - {end})
+
+    return recipient, donor, path, side(recipient), side(donor)
 
 
 def connected_bipartite_edge_sets(n: int):

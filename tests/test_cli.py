@@ -155,6 +155,12 @@ def test_verify_unknown_check(capsys):
     assert "unknown check" in capsys.readouterr().err
 
 
+def test_verify_jobs_other_than_one_is_input_error(capsys):
+    assert main(["verify", "--jobs", "2", "--only", "monomial-table"]) == 2
+    assert "checks run in order" in capsys.readouterr().err
+    assert main(["verify", "--jobs", "1", "--only", "monomial-table"]) == 0
+
+
 def test_verify_config_file(tmp_path, capsys):
     cfg = tmp_path / "suite.cfg"
     cfg.write_text("max_n = 4\nfamilies = 6:4\nbases = s\n")

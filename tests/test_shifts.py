@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from oracles import are_isomorphic
+from oracles import are_isomorphic, share_cycle, shift_move_by_share_cycle
 
 from lapshift import shifts
 from lapshift.canon import canonical_form
+from lapshift.families import FamilySpec, connected_bipartite_graphs, family_members
 from lapshift.errors import DomainError, InvalidInputError
 from lapshift.graphs import Graph, cycle_graph, path_graph, star_graph
 from lapshift.shifts import (
@@ -15,7 +16,6 @@ from lapshift.shifts import (
     is_tree,
     kelmans,
     resolve_move,
-    share_cycle,
     shift_applicable,
     tree_shift_applicable,
 )
@@ -165,3 +165,31 @@ def test_two_qualifying_paths_raise(monkeypatch):
     monkeypatch.setattr(shifts, "_interior_paths", lambda g, u, k: [(1, 2, 3), (1, 4, 3)])
     with pytest.raises(RuntimeError, match="on a cycle"):
         shift_applicable(path_graph(4), 1, 3)
+
+
+def _differential_corpus():
+    for k in range(3, 7):
+        for n in range(k + 1, 10):
+            yield from family_members(FamilySpec("unicyclic", n, k))
+    for n in range(1, 10):
+        yield from family_members(FamilySpec("trees", n))
+    for n in range(1, 7):
+        yield from connected_bipartite_graphs(n)
+
+
+def test_shift_applicable_matches_share_cycle_oracle():
+    pairs = 0
+    for g in _differential_corpus():
+        for recipient in g.vertices():
+            for donor in g.vertices():
+                if recipient == donor:
+                    continue
+                move = shift_applicable(g, recipient, donor)
+                fields = None if move is None else (
+                    move.recipient, move.donor, move.path, move.x_side, move.y_side
+                )
+                assert fields == shift_move_by_share_cycle(g, recipient, donor), (
+                    g.edges(), recipient, donor
+                )
+                pairs += 1
+    assert pairs == 14806

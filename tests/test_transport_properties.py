@@ -1,4 +1,5 @@
-"""Property test: orientation transport along every shift of a random tree."""
+"""Property tests: orientation transport along every shift of a random tree,
+and along random covers of the anchored unicyclic posets."""
 
 from itertools import combinations
 
@@ -7,8 +8,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from lapshift.families import FamilySpec, family_members
 from lapshift.graphs import Graph
 from lapshift.orientations import classify_type, enumerate_orientations, transport_orientation
+from lapshift.posets import build_poset
 from lapshift.shifts import apply_shift, enumerate_shifts
 
 
@@ -50,3 +53,30 @@ def test_transport_is_injective_and_keeps_type(g1):
                     assert classify_type(g1, image) == classify_type(g2, o)
                     assert image not in images
                     images.add(image)
+
+
+def unicyclic_covers():
+    """(lower graph, witness move) for every cover of the k-cycle families,
+    k = 3..6, on at most 8 vertices: 95 covers."""
+    out = []
+    for k in range(3, 7):
+        for n in range(k + 1, 9):
+            h = build_poset(family_members(FamilySpec("unicyclic", n, k)))
+            out.extend((h.nodes[i], h.witnesses[i, j]) for i, j in h.covers)
+    return out
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from(unicyclic_covers()))
+def test_transport_on_unicyclic_covers_is_injective_and_keeps_type(cover):
+    g1, move = cover
+    g2 = apply_shift(g1, move)
+    for r in range(g1.n + 1):
+        images = set()
+        for domain in combinations(g2.vertices(), r):
+            for o in enumerate_orientations(g2, domain):
+                image = transport_orientation(g1, move, o)
+                assert len(image) == r
+                assert classify_type(g1, image) == classify_type(g2, o)
+                assert image not in images
+                images.add(image)

@@ -1,4 +1,9 @@
+import inspect
+import textwrap
+
 import pytest
+
+from lapshift import orientations, verify
 
 from lapshift.errors import CapacityError, InvalidInputError
 from lapshift.families import FamilySpec
@@ -159,3 +164,41 @@ def test_reports_come_back_sorted():
     reports = run_suite(config)
     assert [rep.check_id for rep in reports] == ids
     assert suite_passed(reports)
+
+
+def test_jobs_must_be_one():
+    assert SuiteConfig().jobs == 1
+    with pytest.raises(InvalidInputError, match="run in order"):
+        SuiteConfig(jobs=2)
+    with pytest.raises(InvalidInputError):
+        config_from_mapping({"jobs": "0"})
+
+
+def test_transport_check_catches_a_swapped_path_reversal(monkeypatch):
+    # the two branches of the reversal swapped in the shared arrow map; the
+    # 7-vertex families have a cover that takes the reversal (the 6:4 family
+    # at max_n 5 does not)
+    source = textwrap.dedent(inspect.getsource(orientations._transport_arrows))
+    swapped = source.replace("if position[t] < j:", "if position[t] > j:")
+    assert swapped != source
+    namespace = dict(vars(orientations))
+    exec(swapped, namespace)
+    monkeypatch.setattr(verify, "_transport_arrows", namespace["_transport_arrows"])
+    families = (FamilySpec("unicyclic", 7, 4), FamilySpec("unicyclic", 7, 6))
+    report = run_suite(SuiteConfig(only="transport-injectivity", max_n=6, families=families))[0]
+    assert not report.passed
+    assert report.description.startswith("transported")
+    assert format_reports([report]).startswith("FAIL transport-injectivity:")
+
+
+@pytest.mark.parametrize("invariant", ["spectral_radius", "wiener_index"])
+def test_spectral_wiener_check_catches_an_inverted_invariant(monkeypatch, invariant):
+    original = getattr(verify, invariant)
+    # the pinned 4-vertex values stay right, so it is a cover that fails
+    monkeypatch.setattr(verify, invariant, lambda g: original(g) if g.n == 4 else -original(g))
+    report = run_suite(SuiteConfig(only="spectral-wiener", **SMALL))[0]
+    assert not report.passed
+    h = verify._poset("unicyclic", 5, 3)
+    move = h.witnesses[h.covers[0]]
+    assert report.description.endswith(f"on a cover of (n=5, cycle 3) ({move.serialize()})")
+    assert format_reports([report]).startswith("FAIL spectral-wiener:")
