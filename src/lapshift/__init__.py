@@ -24,6 +24,7 @@ from .graphs import (
     complete_graph,
     cycle_graph,
     format_edge_list,
+    has_bipartition,
     is_bipartite,
     laplacian,
     parse_edge_list,
@@ -45,6 +46,7 @@ from .immanants import (
 )
 from .orientations import (
     VertexOrientation,
+    census_by_size,
     census_transform,
     classify_type,
     coefficient_via_orientations,

@@ -160,13 +160,22 @@ def is_bipartite(g: Graph):
     it is not bipartite: graph-keyed caches hold many graphs, and a kept
     dict would cost each of them hundreds of bytes.
     """
-    if g._bipartition is None:
-        colour = _two_colouring(g)
-        g._bipartition = -1 if colour is None else sum(c << v for v, c in colour.items())
-    mask = g._bipartition
+    mask = _bipartition(g)
     if mask < 0:
         return False, None
     return True, {v: mask >> v & 1 for v in g.vertices()}
+
+
+def has_bipartition(g: Graph) -> bool:
+    """is_bipartite's flag alone, without building the colouring dict."""
+    return _bipartition(g) >= 0
+
+
+def _bipartition(g: Graph) -> int:
+    if g._bipartition is None:
+        colour = _two_colouring(g)
+        g._bipartition = -1 if colour is None else sum(c << v for v, c in colour.items())
+    return g._bipartition
 
 
 def _two_colouring(g: Graph) -> dict[int, int] | None:

@@ -9,31 +9,37 @@ a part 1.  Counting orientations by type gives a census, and for bipartite
 graphs the census determines every immanantal coefficient of the Laplacian
 through the character binomial transform.
 
-A census has two backends.  On a graph with at most one independent cycle
-(m - n + c <= 1: forests and forests with one unicyclic component) it is
-counted in polynomial time by inclusion-exclusion over sets of disjoint
-directed cycles,
+A census is counted by inclusion-exclusion over sets of vertex-disjoint
+directed cycles, without visiting a single orientation:
 
     sum over orientations of x^|B| prod over its cycles of y_(length)
         = sum over Gamma of prod over gamma in Gamma of (y_|gamma| - 1)
           times x^|V(Gamma)| prod over v outside V(Gamma) of (1 + x deg v),
 
-where Gamma runs over the sets of vertex-disjoint directed cycles: the
-matchings, and on the one cycle its two traversals.  Every other graph walks
-its orientations, prod(1 + deg v) of them over all domain sizes, and refuses
-with CapacityError above a cap; the cap bounds only that walk.
+where an edge counts as one directed 2-cycle and a longer cycle once per
+direction.  One pass yields every domain size r at once (census_by_size).
+The sum has two backends.  On a graph with at most one independent cycle
+(m - n + c <= 1: forests and forests with one unicyclic component) Gamma is a
+matching, or the cycle's two traversals with a matching, and a forest DP
+counts it in polynomial time, uncapped.  Every other graph takes a subset DP:
+a Held-Karp path DP counts the directed cycles through each vertex set, and
+the families F(S) are built from them over the vertex sets that carry one.
+Its path states and its family states each map one-to-one into the
+orientations on domains of size at most r, so the cap applies to that count,
+sum over j <= r of e_j(deg) (prod(1 + deg v) at r = n): above the cap the DP
+refuses with CapacityError before doing any work.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 from typing import NamedTuple
 
 from .errors import CapacityError, DomainError, InvalidInputError
-from .graphs import Graph, is_bipartite
+from .graphs import Graph, has_bipartition
+from .graphs import is_bipartite  # unused here; bench/workloads.py traces it by this name
 from .immanants import ImmanantalPolynomial
 from .partitions import Partition
 from .shifts import ShiftMove, apply_shift
@@ -129,34 +135,136 @@ def subset_orientation_census(
     """Counts over all domains of size r, by cycle type.
 
     Graphs with at most one independent cycle take the matching sum and
-    ignore cap; every other graph is enumerated under it.
+    ignore cap; every other graph takes the cycle-family sum, cut off at
+    size r, and refuses when the orientations on domains of size at most r
+    exceed cap.
     """
     if not 0 <= r <= g.n:
         raise InvalidInputError(f"domain size {r} out of range for {g.n} vertices")
+    return _census_range(g, r, r, cap)[0]
+
+
+def census_by_size(g: Graph, cap: int = FULL_CENSUS_CAP) -> list[dict[Partition, int]]:
+    """The censuses of every domain size 0..n from one pass, indexed by size.
+
+    Entry r equals subset_orientation_census(g, r, cap); cap bounds the
+    prod(1 + deg v) orientations of all sizes, and only on graphs with two
+    or more independent cycles.
+    """
+    return _census_range(g, 0, g.n, cap)
+
+
+def _census_range(g: Graph, low: int, top: int, cap: int) -> list[dict[Partition, int]]:
+    """The censuses of domain sizes low..top, from the backend the graph takes."""
     if _cycle_rank(g) <= 1:
-        return _matching_census(g, r)
-    return _enumerated_census(g, r, cap)
+        series = _matching_series(g, top)
+    else:
+        _check_cap(g, top, cap)
+        series = _cycle_family_series(g, top)
+    return _split_by_size(g.n, series, low, top)
 
 
-def _elementary_symmetric(values: list[int], r: int) -> int:
-    acc = [1] + [0] * r
+def _elementary_symmetric(values, top: int) -> list[int]:
+    """e_0..e_top of values."""
+    acc = [1] + [0] * top
     for x in values:
-        for j in range(min(r, len(acc) - 1), 0, -1):
+        for j in range(top, 0, -1):
             acc[j] += x * acc[j - 1]
-    return acc[r]
+    return acc
 
 
-def _enumerated_census(g: Graph, r: int, cap: int = FULL_CENSUS_CAP) -> dict[Partition, int]:
-    """The size-r census by walking every orientation; any graph, capped."""
+def _check_cap(g: Graph, top: int, cap: int) -> None:
     degrees = [g.degree(v) for v in g.vertices()]
-    total = _elementary_symmetric(degrees, r)
+    total = sum(_elementary_symmetric(degrees, top))
     if total > cap:
-        raise CapacityError(f"{total} orientations exceed the cap of {cap}")
-    counts: Counter[Partition] = Counter()
-    for domain in combinations(g.vertices(), r):
-        for orientation in enumerate_orientations(g, domain):
-            counts[classify_type(g, orientation)] += 1
-    return dict(counts)
+        raise CapacityError(
+            f"{total} orientations on domains of size at most {top} exceed the cap of "
+            f"{cap} (raise it with cap=, or --census-cap in verify)"
+        )
+
+
+def _split_by_size(n: int, series: dict, low: int, top: int) -> list[dict[Partition, int]]:
+    """Censuses of sizes low..top from a series {(size, cycle lengths):
+    count}; each vertex outside the cycles adds a part 1."""
+    out: list[dict[Partition, int]] = [{} for _ in range(low, top + 1)]
+    for (size, parts), count in series.items():
+        if count and low <= size <= top:
+            out[size - low][Partition(parts + (1,) * (n - sum(parts)))] = count
+    return out
+
+
+# The cycle-family sum, for any graph.  Gamma runs over every set of
+# vertex-disjoint directed cycles; a cycle's vertex set is a bitmask.
+
+
+def _directed_cycles(g: Graph, top: int) -> list[list[tuple[int, int, int]]]:
+    """For each vertex s, (vertex mask, size, count) of the directed cycles
+    whose least vertex is s, at most top long, one entry per vertex set.
+
+    A Held-Karp path DP (Held and Karp, J. SIAM 10, 1962): its states are
+    the paths from s through larger vertices, keyed by (vertex mask, end),
+    and a path closes when its end is adjacent to s.  An edge closes as one
+    2-cycle; a longer cycle closes once per direction.
+    """
+    neighbours = [()] + [tuple(g.neighbors(v)) for v in g.vertices()]
+    blocks: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n + 1)]
+    for s in g.vertices():
+        home = sum(1 << w for w in neighbours[s])
+        paths = {(1 << s | 1 << w, w): 1 for w in neighbours[s] if w > s}
+        size = 2
+        while paths and size <= top:
+            closed: dict[int, int] = {}
+            longer: dict[tuple[int, int], int] = {}
+            for (mask, end), ways in paths.items():
+                if home >> end & 1:
+                    closed[mask] = closed.get(mask, 0) + ways
+                if size < top:
+                    for w in neighbours[end]:
+                        if w > s and not mask >> w & 1:
+                            key = (mask | 1 << w, w)
+                            longer[key] = longer.get(key, 0) + ways
+            blocks[s].extend((mask, size, ways) for mask, ways in closed.items())
+            paths = longer
+            size += 1
+    return blocks
+
+
+def _cycle_family_series(g: Graph, top: int) -> dict:
+    """sum over Gamma of prod (y_|gamma| - 1) x^|V(Gamma)| prod over v
+    outside V(Gamma) of (1 + x deg v), cut off above x^top.
+
+    F(S), the Gamma with vertex set S, is kept as {cycle lengths: count}
+    and built by adding cycle blocks in decreasing order of their least
+    vertex, so each Gamma is built once; only vertex sets that carry some
+    Gamma are ever touched.  The series is {(size, cycle lengths): count}.
+    """
+    blocks = _directed_cycles(g, top)
+    families: dict[int, tuple[int, dict]] = {0: (0, {(): 1})}
+    for s in range(g.n, 0, -1):
+        grown: dict[int, tuple[int, dict]] = {}
+        for block, k, ways in blocks[s]:
+            for mask, (size, poly) in families.items():
+                if mask & block or size + k > top:
+                    continue
+                union = mask | block
+                if union not in grown:
+                    grown[union] = (size + k, {})
+                target = grown[union][1]
+                for parts, c in poly.items():
+                    kept = tuple(sorted(parts + (k,), reverse=True))
+                    target[kept] = target.get(kept, 0) + ways * c
+                    target[parts] = target.get(parts, 0) - ways * c
+        families.update(grown)
+    degree = [g.degree(v) for v in g.vertices()]
+    series: dict[tuple[int, tuple[int, ...]], int] = {}
+    for mask, (size, poly) in families.items():
+        outside = [d for v, d in enumerate(degree, 1) if not mask >> v & 1]
+        for j, e in enumerate(_elementary_symmetric(outside, top - size)):
+            if e:
+                for parts, c in poly.items():
+                    key = (size + j, parts)
+                    series[key] = series.get(key, 0) + c * e
+    return series
 
 
 # The matching sum.  A polynomial in x (domain size) and y (2-cycles) is a
@@ -253,8 +361,9 @@ def _forest_matchings(g: Graph, alive: set[int], skip: frozenset, top: int) -> d
     return whole
 
 
-def _matching_census(g: Graph, r: int) -> dict[Partition, int]:
-    """The size-r census of a graph with at most one independent cycle.
+def _matching_series(g: Graph, top: int) -> dict:
+    """The census series of a graph with at most one independent cycle, cut
+    off above x^top, as {(size, cycle lengths): count}.
 
     On a forest the directed cycles are the edges, so Gamma is a matching.
     With a k-cycle C, split on one of its edges ab: the matchings avoiding
@@ -266,27 +375,25 @@ def _matching_census(g: Graph, r: int) -> dict[Partition, int]:
     k = len(cycle)
     through_cycle: dict[tuple[int, int], int] = {}
     if not cycle:
-        series = _forest_matchings(g, everything, frozenset(), r)
+        matchings = _forest_matchings(g, everything, frozenset(), top)
     else:
         a = min(cycle)
         b = min(w for w in g.neighbors(a) if w in cycle)
         ab = frozenset((a, b))
-        series = _add(
-            _forest_matchings(g, everything, ab, r),
-            _mul(_forest_matchings(g, everything - ab, frozenset(), r), _EDGE, r),
+        matchings = _add(
+            _forest_matchings(g, everything, ab, top),
+            _mul(_forest_matchings(g, everything - ab, frozenset(), top), _EDGE, top),
         )
         # 2 (y_k - 1) x^k M(G - V(C)): the y_k part is the types with a
         # k-cycle, the -1 part joins the rest
-        outside = _forest_matchings(g, everything - cycle, frozenset(), r)
-        through_cycle = _mul(outside, {(k, 0): 2}, r)
-        series = _add(series, {key: -c for key, c in through_cycle.items()})
-    counts: dict[Partition, int] = {}
-    for parts, poly in (((), series), ((k,), through_cycle)):
+        outside = _forest_matchings(g, everything - cycle, frozenset(), top)
+        through_cycle = _mul(outside, {(k, 0): 2}, top)
+        matchings = _add(matchings, {key: -c for key, c in through_cycle.items()})
+    series = {}
+    for head, poly in (((), matchings), ((k,), through_cycle)):
         for (i, j), count in poly.items():
-            if i == r and count:
-                fixed = g.n - sum(parts) - 2 * j
-                counts[Partition(list(parts) + [2] * j + [1] * fixed)] = count
-    return counts
+            series[i, head + (2,) * j] = count
+    return series
 
 
 def census_transform(g: Graph, census: dict[Partition, int], lam: Partition, basis: str) -> int:
@@ -294,7 +401,7 @@ def census_transform(g: Graph, census: dict[Partition, int], lam: Partition, bas
         raise InvalidInputError(f"unknown basis {basis!r}; expected one of {BASES}")
     if lam.n != g.n:
         raise DomainError(f"partition weight {lam.n} does not match {g.n} vertices")
-    if not is_bipartite(g)[0]:
+    if not has_bipartition(g):
         raise DomainError("orientation formulas for Laplacian immanants need a bipartite graph")
     row = basis_binomial_row(basis, lam)
     try:
@@ -316,9 +423,7 @@ def coefficient_via_orientations(g: Graph, lam: Partition, r: int, basis: str = 
 def polynomial_via_orientations(
     g: Graph, lam: Partition, basis: str = "s"
 ) -> ImmanantalPolynomial:
-    coefficients = tuple(
-        coefficient_via_orientations(g, lam, r, basis) for r in range(g.n + 1)
-    )
+    coefficients = tuple(census_transform(g, c, lam, basis) for c in census_by_size(g))
     return ImmanantalPolynomial(g.n, coefficients)
 
 

@@ -15,7 +15,10 @@ from dataclasses import dataclass, field
 from .canon import canonical_form
 from .errors import DomainError
 from .graphs import Graph
-from .shifts import ShiftMove, apply_shift, enumerate_shifts
+from .shifts import ShiftMove, shifts_with_forms
+
+# unused here; bench/workloads.py traces them by these names
+from .shifts import apply_shift, enumerate_shifts
 
 
 @dataclass(frozen=True)
@@ -86,8 +89,7 @@ def build_poset(members) -> HasseDiagram:
     arcs: set[tuple[int, int]] = set()
     witnesses: dict[tuple[int, int], ShiftMove] = {}
     for i, g in enumerate(nodes):
-        for move in enumerate_shifts(g):
-            key = canonical_form(apply_shift(g, move))
+        for move, key in shifts_with_forms(g):
             if key not in index:
                 raise DomainError("a shift left the family; it is not shift-closed")
             j = index[key]

@@ -130,6 +130,12 @@ def enumerate_shifts(g: Graph) -> list[ShiftMove]:
     whose donor is a leaf) are dropped; the recipient is always the smaller
     label, which fixes the enumeration order.
     """
+    return [move for move, _ in shifts_with_forms(g)]
+
+
+def shifts_with_forms(g: Graph) -> list[tuple[ShiftMove, str]]:
+    """enumerate_shifts' moves, each with the canonical form of its result,
+    which the enumeration computes anyway to drop the isomorphic ones."""
     out = []
     base = canonical_form(g)
     for recipient in g.vertices():
@@ -139,9 +145,10 @@ def enumerate_shifts(g: Graph) -> list[ShiftMove]:
                 continue
             if not move.y_side:
                 continue
-            if canonical_form(apply_shift(g, move)) == base:
+            form = canonical_form(apply_shift(g, move))
+            if form == base:
                 continue
-            out.append(move)
+            out.append((move, form))
     return out
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
-from math import factorial, sqrt
+from math import factorial, prod, sqrt
 
 from .canon import canonical_form
 from .characters import character_degree, character_table
@@ -46,15 +46,15 @@ from .orientations import (
     FULL_CENSUS_CAP,
     VertexOrientation,
     _cycle_lengths,
-    _elementary_symmetric,
     _transport_arrows,
     _transport_plan,
+    census_by_size,
     census_transform,
     classify_type,
-    orientation_census,
-    subset_orientation_census,
-    transport_orientation,  # unused here; bench/workloads.py traces it by this name
 )
+
+# unused here; bench/workloads.py traces them by these names
+from .orientations import orientation_census, subset_orientation_census, transport_orientation
 from .partitions import Partition, enumerate_partitions, format_partition
 from .posets import HasseDiagram, build_poset
 from .shifts import apply_shift
@@ -168,8 +168,8 @@ def _poset(kind: str, n: int, cycle_len: int | None) -> HasseDiagram:
 
 
 @cache
-def _censuses(g: Graph, cap: int) -> dict[int, dict[Partition, int]]:
-    return {r: subset_orientation_census(g, r, cap) for r in range(g.n + 1)}
+def _censuses(g: Graph, cap: int) -> list[dict[Partition, int]]:
+    return census_by_size(g, cap)
 
 
 def _cover_instances(spec: FamilySpec):
@@ -286,7 +286,7 @@ def _check_census_immanant(config: SuiteConfig):
         matrix = laplacian(g)
         if config.inject_fault and index == 0:
             matrix = _flip_low_bit(matrix)
-        census = orientation_census(g, config.census_cap)
+        census = _censuses(g, config.census_cap)[g.n]
         for basis in BASES:
             for lam in enumerate_partitions(g.n):
                 via_census = census_transform(g, census, lam, basis)
@@ -439,8 +439,7 @@ def _check_transport_injectivity(config: SuiteConfig):
     mapped = 0
     for spec in _monotone_posets(config):
         for below, move, above in _cover_instances(spec):
-            degrees = [above.degree(v) for v in above.vertices()]
-            walk = sum(_elementary_symmetric(degrees, r) for r in range(above.n + 1))
+            walk = prod(1 + above.degree(v) for v in above.vertices())
             if walk > config.census_cap:
                 raise CapacityError(
                     f"transport walk of {walk} orientations on a {spec.kind} cover "

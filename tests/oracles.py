@@ -2,12 +2,12 @@
 
 Everything here is written the slow, obvious way on purpose: explicit
 permutation sums, Fraction Gaussian elimination, Floyd-Warshall, brute-force
-isomorphism search, a vertex-deletion cycle test.  None of it shares code paths with the package modules
+isomorphism search, a vertex-deletion cycle test, an orientation walk.  None of it shares code paths with the package modules
 it checks.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations, product
 from math import prod
 
 from lapshift.errors import InvalidInputError
@@ -40,6 +40,43 @@ def immanant_by_permutations(matrix, weight) -> int:
         if term:
             total += weight(cycle_type_of(perm)) * term
     return total
+
+
+def census_by_walking(n: int, edges, r: int) -> dict[tuple[int, ...], int]:
+    """The size-r orientation census by visiting every orientation.
+
+    Each r-subset of 1..n points every vertex at one of its neighbours; the
+    arrows form a functional graph, walked from each domain vertex until it
+    leaves the domain or repeats a vertex.  A walk that repeats a vertex of
+    its own has found a new directed cycle (two vertices pointing at each
+    other are a 2-cycle).  Keys are cycle types: the cycle lengths, largest
+    first, padded with 1s to n parts in all.
+    """
+    neighbours = [[] for _ in range(n + 1)]
+    for u, v in edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    counts: dict[tuple[int, ...], int] = {}
+    for domain in combinations(range(1, n + 1), r):
+        for targets in product(*(neighbours[v] for v in domain)):
+            arrow = [0] * (n + 1)
+            for v, t in zip(domain, targets):
+                arrow[v] = t
+            walked = [0] * (n + 1)
+            lengths = []
+            for walk, v in enumerate(domain, start=1):
+                while v and not walked[v]:
+                    walked[v] = walk
+                    v = arrow[v]
+                if v and walked[v] == walk:
+                    length, u = 1, arrow[v]
+                    while u != v:
+                        length, u = length + 1, arrow[u]
+                    lengths.append(length)
+            lengths.sort(reverse=True)
+            key = tuple(lengths) + (1,) * (n - sum(lengths))
+            counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 def determinant_fractions(matrix) -> Fraction:
@@ -284,8 +321,6 @@ def hook_length_degree(shape) -> int:
 
 def elementary_symmetric(values, r: int) -> int:
     """e_r by direct sum over r-subsets."""
-    from itertools import combinations
-
     return sum(prod(c) for c in combinations(values, r))
 
 

@@ -11,6 +11,7 @@ from lapshift.graphs import (
     complete_graph,
     cycle_graph,
     format_edge_list,
+    has_bipartition,
     is_bipartite,
     laplacian,
     parse_edge_list,
@@ -93,6 +94,11 @@ def test_bipartite_detection():
     assert not ok and colour is None
     ok, _ = is_bipartite(cycle_graph(6))
     assert ok
+    # the flag alone, on a fresh graph and on one whose result is kept
+    assert has_bipartition(cycle_graph(6)) and not has_bipartition(cycle_graph(5))
+    g = path_graph(5)
+    assert has_bipartition(g) is True
+    assert is_bipartite(g)[0] and has_bipartition(g) is True
 
 
 def test_bipartite_result_is_kept_but_copied():

@@ -1,19 +1,22 @@
+import time
 from itertools import combinations, zip_longest
 from math import comb, prod
 
 import pytest
 
-from oracles import elementary_symmetric
+from oracles import census_by_walking, elementary_symmetric
 
 from lapshift.errors import CapacityError, DomainError, InvalidInputError
 from lapshift.families import connected_bipartite_graphs, free_trees, unicyclic_family
-from lapshift.graphs import Graph, cycle_graph, laplacian, path_graph, star_graph
+from lapshift.graphs import Graph, complete_graph, cycle_graph, laplacian, path_graph, star_graph
 from lapshift.immanants import immanant_by_shape, immanantal_polynomial
 from lapshift.orientations import (
     VertexOrientation,
+    _cycle_family_series,
     _cycle_rank,
-    _enumerated_census,
+    _split_by_size,
     _transport_plan,
+    census_by_size,
     census_transform,
     classify_type,
     enumerate_orientations,
@@ -147,6 +150,10 @@ def test_capacity_cap():
     }
 
 
+def _by_parts(census):
+    return {mu.parts: count for mu, count in census.items()}
+
+
 # graphs with at most one independent cycle: the matching sum against the walk
 ONE_CYCLE_CORPUS = {
     "trees": lambda: [g for n in range(1, 10) for g in free_trees(n)],
@@ -174,7 +181,8 @@ def test_matching_sum_equals_enumeration(corpus):
     for g in graphs:
         assert _cycle_rank(g) <= 1
         for r in range(g.n + 1):
-            assert subset_orientation_census(g, r) == _enumerated_census(g, r), (g, r)
+            walked = census_by_walking(g.n, g.edges(), r)
+            assert _by_parts(subset_orientation_census(g, r)) == walked, (g, r)
 
 
 def test_matching_sum_on_a_forty_vertex_path():
@@ -191,6 +199,95 @@ def test_matching_sum_on_a_forty_vertex_path():
         if comb(40, r) <= 10**5:
             assert total == elementary_symmetric(degrees, r)
         assert all(count > 0 for count in census.values())
+
+
+def _family_dp(g, top):
+    """The cycle-family DP on its own, whatever the graph's cycle rank: the
+    censuses of sizes 0..top."""
+    return [_by_parts(c) for c in _split_by_size(g.n, _cycle_family_series(g, top), 0, top)]
+
+
+def _bipartite_complete(a, b):
+    return Graph(a + b, [(u, v) for u in range(1, a + 1) for v in range(a + 1, a + b + 1)])
+
+
+def _check_family_dp_every_r(g):
+    whole = _family_dp(g, g.n)
+    for r in range(g.n + 1):
+        walked = census_by_walking(g.n, g.edges(), r)
+        assert whole[r] == walked, (g, r)
+        assert _family_dp(g, r)[r] == walked, (g, r)
+
+
+def test_family_dp_equals_walk_on_the_bipartite_corpus():
+    corpus = [g for n in range(1, 7) for g in connected_bipartite_graphs(n)]
+    assert len(corpus) == 28
+    for g in corpus:
+        _check_family_dp_every_r(g)
+
+
+def test_family_dp_equals_walk_on_complete_bipartite_graphs():
+    _check_family_dp_every_r(_bipartite_complete(3, 5))
+    k44 = _bipartite_complete(4, 4)
+    walked = census_by_walking(8, k44.edges(), 8)
+    assert _family_dp(k44, 8)[8] == walked
+    assert _by_parts(orientation_census(k44)) == walked
+
+
+MULTI_CYCLE_GRAPHS = {
+    "K4": complete_graph(4),
+    "K5": complete_graph(5),
+    # three paths of lengths 2, 2 and 3 between vertices 1 and 2
+    "theta": Graph(6, [(1, 3), (3, 2), (1, 4), (4, 2), (1, 5), (5, 6), (6, 2)]),
+    "bowtie": Graph(5, [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 3)]),
+    "two-cycles-and-a-point": Graph(
+        8, [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 7), (7, 4)]
+    ),
+    "one-vertex": Graph(1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_CYCLE_GRAPHS))
+def test_family_dp_equals_walk_beyond_bipartite(name):
+    g = MULTI_CYCLE_GRAPHS[name]
+    _check_family_dp_every_r(g)
+    by_size = census_by_size(g)
+    for r in range(g.n + 1):
+        assert by_size[r] == subset_orientation_census(g, r)
+
+
+def test_census_by_size_matches_each_size_on_what_verify_counts():
+    graphs = [g for n in range(1, 7) for g in connected_bipartite_graphs(n)]
+    graphs += [g for n in (6, 7) for g in free_trees(n)]
+    for n, k in ((7, 4), (7, 6), (8, 4), (9, 6)):
+        graphs += unicyclic_family(n, k)
+    for g in graphs:
+        by_size = census_by_size(g)
+        assert len(by_size) == g.n + 1
+        for r in range(g.n + 1):
+            assert by_size[r] == subset_orientation_census(g, r), (g, r)
+
+
+def test_family_dp_refuses_before_any_work():
+    # K_{2,3} with a 25-vertex path hanging off vertex 5: two independent
+    # cycles, 3.3 * 10^14 orientations, and 2 * 10^5 matchings of the path
+    # alone that the DP would build as cycle families
+    edges = [(u, v) for u in (1, 2) for v in (3, 4, 5)]
+    edges += [(v, v + 1) for v in range(5, 30)]
+    g = Graph(30, edges)
+    assert _cycle_rank(g) == 2
+    began = time.perf_counter()
+    with pytest.raises(CapacityError, match="exceed the cap of 100000000"):
+        census_by_size(g)
+    with pytest.raises(CapacityError, match="--census-cap"):
+        orientation_census(g)
+    with pytest.raises(CapacityError, match="size at most 20"):
+        subset_orientation_census(g, 20)
+    assert time.perf_counter() - began < 1.0
+    # small sizes stay under the cap: e_0 + ... + e_3 of the degrees
+    assert sum(subset_orientation_census(g, 3).values()) == elementary_symmetric(
+        [g.degree(v) for v in g.vertices()], 3
+    )
 
 
 def test_cycle_rank_picks_the_backend():

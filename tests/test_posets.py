@@ -6,7 +6,7 @@ from lapshift.errors import DomainError
 from lapshift.families import free_trees, path_form, star_form, unicyclic_family
 from lapshift.graphs import Graph, path_graph, star_graph
 from lapshift.posets import build_poset, export_csv, export_dot
-from lapshift.shifts import apply_shift
+from lapshift.shifts import apply_shift, enumerate_shifts
 
 
 def test_two_trees_give_one_cover():
@@ -117,7 +117,12 @@ def test_csv_export():
 
 def test_shift_onto_itself_raises(monkeypatch):
     # the invariant must survive python -O, so it is an exception, not an assert
-    monkeypatch.setattr(posets, "apply_shift", lambda g, move: g)
+    # every move reports its input's own canonical form as its result's
+    monkeypatch.setattr(
+        posets,
+        "shifts_with_forms",
+        lambda g: [(move, canonical_form(g)) for move in enumerate_shifts(g)],
+    )
     with pytest.raises(RuntimeError, match="isomorphic to its input"):
         build_poset(free_trees(5))
 
