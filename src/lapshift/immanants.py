@@ -3,7 +3,10 @@
 The workhorse is an enumeration of the permutations whose diagonal product
 can be nonzero: position i may map only to itself or to a column holding a
 nonzero entry.  For Laplacians of sparse graphs that support is tiny, which
-is what makes exact computation practical at desk scale.
+is what makes exact computation practical at desk scale.  The one walk
+groups each permutation's term of imm(xI - m) by cycle type: an immanant
+reads the constant terms, and polynomial_table weights the groups with a
+basis's whole class table at once.
 
 Two classical algorithms, fraction-free elimination for the determinant and
 Ryser's inclusion-exclusion for the permanent, are implemented separately so
@@ -17,10 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from operator import mul
 
 from .errors import InvalidInputError
 from .partitions import Partition
-from .symfunc import ClassFunction, inverse_frobenius
+from .symfunc import ClassFunction, _class_table, _positions, inverse_frobenius
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -47,41 +51,6 @@ def _cycle_type(perm: tuple[int, ...]) -> Partition:
             length += 1
         parts.append(length)
     return Partition(sorted(parts, reverse=True))
-
-
-@cache
-def cycle_type_products(m: Matrix) -> dict[Partition, int]:
-    """Sum of diagonal products of m, grouped by permutation cycle type.
-
-    Only permutations supported on the nonzero pattern are walked; the rest
-    contribute nothing.
-    """
-    n = _check_square(m)
-    allowed = [
-        [j for j in range(n) if j == i or m[i][j] != 0] for i in range(n)
-    ]
-    totals: dict[Partition, int] = {}
-    perm = [0] * n
-    used = [False] * n
-
-    def assign(i: int, product: int):
-        if i == n:
-            key = _cycle_type(tuple(perm))
-            totals[key] = totals.get(key, 0) + product
-            return
-        for j in allowed[i]:
-            if used[j]:
-                continue
-            entry = m[i][j]
-            if entry == 0:
-                continue
-            used[j] = True
-            perm[i] = j
-            assign(i + 1, product * entry)
-            used[j] = False
-
-    assign(0, 1)
-    return totals
 
 
 def _poly_mul_linear(coeffs: list[int], c: int) -> list[int]:
@@ -141,7 +110,10 @@ def immanant(m: Matrix, f: ClassFunction) -> int:
     n = _check_square(m)
     if f.n != n:
         raise InvalidInputError(f"class function lives on {f.n} letters, matrix on {n}")
-    return sum(f(nu) * total for nu, total in cycle_type_products(m).items())
+    # a permutation's term in imm(xI - m) at x = 0 is (-1)^n times its
+    # diagonal product in m
+    polys = characteristic_type_polynomials(m)
+    return (-1) ** n * sum(f(nu) * poly[0] for nu, poly in polys.items())
 
 
 def immanant_by_shape(m: Matrix, lam: Partition) -> int:
@@ -194,6 +166,25 @@ def immanantal_polynomial(m: Matrix, f: ClassFunction) -> ImmanantalPolynomial:
                 coeffs[power] += weight * a
     b = tuple((-1) ** r * coeffs[n - r] for r in range(n + 1))
     return ImmanantalPolynomial(n, b)
+
+
+def polynomial_table(m: Matrix, basis: str) -> tuple[tuple[int, ...], ...]:
+    """immanantal_polynomial(m, inverse_frobenius(basis, shape)).coefficients
+    for every shape of n, in canonical partition order.
+
+    One permutation walk: each cycle type's contribution, signed and indexed
+    by r, is read as a vector over the types, and the basis's class table
+    multiplies all of them at once.
+    """
+    n = _check_square(m)
+    position = _positions(n)
+    columns = [[0] * len(position) for _ in range(n + 1)]
+    for nu, poly in characteristic_type_polynomials(m).items():
+        for r, col in enumerate(columns):
+            col[position[nu]] = (-1) ** r * poly[n - r]
+    return tuple(
+        tuple(sum(map(mul, row, col)) for col in columns) for row in _class_table(basis, n)
+    )
 
 
 def coefficient_via_subsets(m: Matrix, f: ClassFunction, r: int) -> int:

@@ -43,7 +43,7 @@ from .graphs import is_bipartite  # unused here; bench/workloads.py traces it by
 from .immanants import ImmanantalPolynomial
 from .partitions import Partition
 from .shifts import ShiftMove, apply_shift
-from .symfunc import BASES, basis_binomial_row
+from .symfunc import BASES, _binomial_table, _positions, basis_binomial_row
 
 FULL_CENSUS_CAP = 10**8
 
@@ -408,6 +408,30 @@ def census_transform(g: Graph, census: dict[Partition, int], lam: Partition, bas
         return sum(count * row[mu] for mu, count in census.items())
     except KeyError as exc:
         raise InvalidInputError(f"census type {exc.args[0]} is not a partition of {g.n}") from None
+
+
+def census_table(g: Graph, censuses, basis: str) -> tuple[tuple[int, ...], ...]:
+    """census_transform(g, census, shape, basis) for every shape of g.n, in
+    canonical partition order (rows), and every census in order (columns).
+
+    Each census is read as a vector over the orientation types and
+    multiplied by the basis's binomial table, once for all shapes; the
+    types it does not hold are zeros, and are skipped.
+    """
+    if basis not in BASES:
+        raise InvalidInputError(f"unknown basis {basis!r}; expected one of {BASES}")
+    if not has_bipartition(g):
+        raise DomainError("orientation formulas for Laplacian immanants need a bipartite graph")
+    table, position = _binomial_table(basis, g.n), _positions(g.n)
+    columns = []
+    for census in censuses:
+        acc = [0] * len(position)
+        for mu, count in census.items():
+            if mu not in position:
+                raise InvalidInputError(f"census type {mu} is not a partition of {g.n}")
+            acc = [a + count * t for a, t in zip(acc, table[position[mu]])]
+        columns.append(acc)
+    return tuple(zip(*columns))
 
 
 def immanant_via_orientations(g: Graph, lam: Partition, basis: str = "s") -> int:

@@ -112,6 +112,11 @@ def apply_shift(g: Graph, move: ShiftMove) -> Graph:
     current = shift_applicable(g, move.recipient, move.donor)
     if current != move:
         raise InvalidInputError("move does not match this graph; was it built for another?")
+    return _rewire(g, move)
+
+
+def _rewire(g: Graph, move: ShiftMove) -> Graph:
+    """apply_shift for a move already built from g."""
     before = move.path[-2]
     moved = [w for w in g.neighbors(move.donor) if w != before]
     for w in moved:
@@ -133,19 +138,34 @@ def enumerate_shifts(g: Graph) -> list[ShiftMove]:
     return [move for move, _ in shifts_with_forms(g)]
 
 
+def _chain_ends(g: Graph, u: int) -> list[int]:
+    """The donors above u that a path from u with degree-2 interior reaches,
+    in increasing order: every vertex on the walks that leave u and go on
+    through degree-2 vertices.  _interior_paths finds nothing for the rest."""
+    reached = set()
+    for first in g.neighbors(u):
+        prev, cur = u, first
+        while cur != u and cur not in reached:
+            reached.add(cur)
+            if g.degree(cur) != 2:
+                break
+            prev, cur = cur, next(w for w in g.neighbors(cur) if w != prev)
+    return sorted(v for v in reached if v > u)
+
+
 def shifts_with_forms(g: Graph) -> list[tuple[ShiftMove, str]]:
     """enumerate_shifts' moves, each with the canonical form of its result,
     which the enumeration computes anyway to drop the isomorphic ones."""
     out = []
     base = canonical_form(g)
     for recipient in g.vertices():
-        for donor in range(recipient + 1, g.n + 1):
+        for donor in _chain_ends(g, recipient):
             move = shift_applicable(g, recipient, donor)
             if move is None:
                 continue
             if not move.y_side:
                 continue
-            form = canonical_form(apply_shift(g, move))
+            form = canonical_form(_rewire(g, move))
             if form == base:
                 continue
             out.append((move, form))

@@ -17,8 +17,8 @@ shape and columns by cycle type, both in canonical partition order:
   integer sum over the character table divided by n!.  Its inverse comes
   from back substitution over the integers, and m_lam is the
   inverse-Kostka-weighted sum of characters.
-- The binomial pairings of a basis element are one product of its row with
-  the partition binomial matrix of n.
+- The binomial pairings of every basis element of n are one product of
+  the class table with the partition binomial matrix of n.
 
 `kostka` still counts semistandard tableaux directly; no table is built
 from it, and the tests hold the tables to it.
@@ -234,17 +234,27 @@ def _binomial_matrix(n: int) -> Table:
 
 
 @cache
+def _binomial_table(basis: str, n: int) -> Table:
+    """T[k][i] = basis_binomial(basis, shape_i, type_k), rows by orientation type.
+
+    The class table times the partition binomial matrix, once per basis and
+    n.  A census read as a vector c over the types gives every shape's value
+    at once, as sum over k of c[k] * T[k].
+    """
+    f = _class_table(basis, n)
+    return tuple(tuple(sum(map(mul, row, b)) for row in f) for b in _binomial_matrix(n))
+
+
+@cache
 def basis_binomial_row(basis: str, lam: Partition) -> Mapping[Partition, int]:
     """basis_binomial(basis, lam, mu) for every orientation type mu of lam.n.
 
-    One product of lam's class-function row with the partition binomial
-    matrix; the mapping is read-only because every caller shares it.
+    lam's column of the binomial table; the mapping is read-only because
+    every caller shares it.
     """
     n = lam.n
-    f = _class_table(basis, n)[_positions(n)[lam]]
-    return MappingProxyType(
-        {mu: sum(map(mul, f, b)) for mu, b in zip(_shapes(n), _binomial_matrix(n))}
-    )
+    i = _positions(n)[lam]
+    return MappingProxyType({mu: row[i] for mu, row in zip(_shapes(n), _binomial_table(basis, n))})
 
 
 def basis_binomial(basis: str, lam: Partition, mu: Partition) -> int:

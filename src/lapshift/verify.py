@@ -14,8 +14,9 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import factorial, prod, sqrt
+from operator import gt
 
 from .canon import canonical_form
 from .characters import character_degree, character_table
@@ -41,6 +42,7 @@ from .immanants import (
     immanantal_polynomial,
     normalized_immanant,
     permanent_exact,
+    polynomial_table,
 )
 from .orientations import (
     FULL_CENSUS_CAP,
@@ -49,15 +51,16 @@ from .orientations import (
     _transport_arrows,
     _transport_plan,
     census_by_size,
-    census_transform,
+    census_table,
     classify_type,
 )
 
 # unused here; bench/workloads.py traces them by these names
-from .orientations import orientation_census, subset_orientation_census, transport_orientation
+from .orientations import census_transform, orientation_census, subset_orientation_census
+from .orientations import transport_orientation
 from .partitions import Partition, enumerate_partitions, format_partition
 from .posets import HasseDiagram, build_poset
-from .shifts import apply_shift
+from .shifts import apply_shift  # unused here; traced by name as above
 from .symfunc import BASES, basis_binomial, character_binomial, inverse_frobenius
 from .symfunc import _kostka_inverse, _kostka_matrix
 
@@ -167,17 +170,36 @@ def _poset(kind: str, n: int, cycle_len: int | None) -> HasseDiagram:
     return build_poset(family_members(FamilySpec(kind, n, cycle_len)))
 
 
+# per-graph censuses and coefficient tables, shared by the checks of one
+# run_suite call and cleared when it ends
+
+
 @cache
 def _censuses(g: Graph, cap: int) -> list[dict[Partition, int]]:
     return census_by_size(g, cap)
 
 
+@cache
+def _census_table(g: Graph, cap: int, basis: str) -> tuple[tuple[int, ...], ...]:
+    """Row i: the census route's coefficients b_0..b_n of shape i."""
+    return census_table(g, _censuses(g, cap), basis)
+
+
+@cache
+def _matrix_table(matrix, basis: str) -> tuple[tuple[int, ...], ...]:
+    """Row i: the matrix route's coefficients b_0..b_n of shape i."""
+    return polynomial_table(matrix, basis)
+
+
+RUN_CACHES = (_censuses, _census_table, _matrix_table)
+
+
 def _cover_instances(spec: FamilySpec):
-    """(below, witness move, above) triples for every cover of the poset."""
+    """(below, witness move, above) triples for every cover of the poset;
+    above is the poset node that the move's result is isomorphic to."""
     h = _poset(spec.kind, spec.n, spec.cycle_len)
     for i, j in h.covers:
-        move = h.witnesses[i, j]
-        yield h.nodes[i], move, apply_shift(h.nodes[i], move)
+        yield h.nodes[i], h.witnesses[i, j], h.nodes[j]
 
 
 def _monotone_posets(config: SuiteConfig):
@@ -286,17 +308,16 @@ def _check_census_immanant(config: SuiteConfig):
         matrix = laplacian(g)
         if config.inject_fault and index == 0:
             matrix = _flip_low_bit(matrix)
-        census = _censuses(g, config.census_cap)[g.n]
         for basis in BASES:
-            for lam in enumerate_partitions(g.n):
-                via_census = census_transform(g, census, lam, basis)
-                direct = immanantal_polynomial(matrix, inverse_frobenius(basis, lam))
-                if via_census != direct.coefficients[g.n]:
+            via_census = _census_table(g, config.census_cap, basis)
+            direct = _matrix_table(matrix, basis)
+            for lam, row, want in zip(enumerate_partitions(g.n), via_census, direct):
+                if row[g.n] != want[g.n]:
                     inst = (
                         f"census vs matrix value, graph #{index} (n={g.n}), "
                         f"basis {basis}, shape {format_partition(lam)}"
                     )
-                    return False, inst, str(direct.coefficients[g.n]), str(via_census)
+                    return False, inst, str(want[g.n]), str(row[g.n])
         graphs += 1
     return (
         True,
@@ -310,18 +331,17 @@ def _check_census_coefficients(config: SuiteConfig):
     checked = 0
     for index, g in enumerate(_bipartite_corpus()):
         matrix = laplacian(g)
-        censuses = _censuses(g, config.census_cap)
         for basis in BASES:
-            for lam in enumerate_partitions(g.n):
-                direct = immanantal_polynomial(matrix, inverse_frobenius(basis, lam))
+            via_census = _census_table(g, config.census_cap, basis)
+            direct = _matrix_table(matrix, basis)
+            for lam, row, want in zip(enumerate_partitions(g.n), via_census, direct):
                 for r in range(g.n + 1):
-                    via_census = census_transform(g, censuses[r], lam, basis)
-                    if via_census != direct.coefficients[r]:
+                    if row[r] != want[r]:
                         inst = (
                             f"coefficient r={r}, graph #{index} (n={g.n}), "
                             f"basis {basis}, shape {format_partition(lam)}"
                         )
-                        return False, inst, str(direct.coefficients[r]), str(via_census)
+                        return False, inst, str(want[r]), str(row[r])
                     checked += 1
     return (
         True,
@@ -335,9 +355,8 @@ def _check_coefficient_nonnegative(config: SuiteConfig):
     for index, g in enumerate(_bipartite_corpus()):
         matrix = laplacian(g)
         for basis in ("s", "e", "p", "h"):
-            for lam in enumerate_partitions(g.n):
-                poly = immanantal_polynomial(matrix, inverse_frobenius(basis, lam))
-                for r, b in enumerate(poly.coefficients):
+            for lam, row in zip(enumerate_partitions(g.n), _matrix_table(matrix, basis)):
+                for r, b in enumerate(row):
                     if b < 0:
                         inst = (
                             f"coefficient r={r}, graph #{index}, basis {basis}, "
@@ -355,23 +374,18 @@ def _check_coefficient_nonnegative(config: SuiteConfig):
 def _check_normalized_sandwich(config: SuiteConfig):
     for index, g in enumerate(_bipartite_corpus()):
         matrix = laplacian(g)
-        shapes = enumerate_partitions(g.n)
-        polys = {
-            lam: immanantal_polynomial(matrix, inverse_frobenius("s", lam))
-            for lam in shapes
-        }
-        sign_row = polys[Partition([1] * g.n)].coefficients
-        perm_row = polys[Partition([g.n])].coefficients
-        for lam in shapes:
+        # shapes run from (n) to (1^n): the permanental and the sign rows
+        rows = _matrix_table(matrix, "s")
+        perm_row, sign_row = rows[0], rows[-1]
+        low, high = determinant_exact(matrix), permanent_exact(matrix)
+        for lam, row in zip(enumerate_partitions(g.n), rows):
             degree = character_degree(lam)
             for r in range(g.n + 1):
-                middle = Fraction(polys[lam].coefficients[r], degree)
+                middle = Fraction(row[r], degree)
                 if not sign_row[r] <= middle <= perm_row[r]:
                     inst = f"normalized coefficient r={r}, graph #{index}, shape {format_partition(lam)}"
                     return False, inst, f"in [{sign_row[r]}, {perm_row[r]}]", str(middle)
-            low = determinant_exact(matrix)
             mid = normalized_immanant(matrix, lam)
-            high = permanent_exact(matrix)
             if not low <= mid <= high:
                 inst = f"normalized full value, graph #{index}, shape {format_partition(lam)}"
                 return False, inst, f"in [{low}, {high}]", str(mid)
@@ -409,21 +423,41 @@ def _check_coefficient_monotonicity(config: SuiteConfig):
     bases = tuple(b for b in config.bases if b in MONOTONE_BASES)
     triples, cap = 0, config.census_cap
     for spec in _monotone_posets(config):
-        for below, move, above in _cover_instances(spec):
-            lower, upper = _censuses(below, cap), _censuses(above, cap)
-            for lam in enumerate_partitions(below.n):
-                for basis in bases:
-                    for r in range(below.n + 1):
-                        b_low = census_transform(below, lower[r], lam, basis)
-                        b_high = census_transform(above, upper[r], lam, basis)
-                        if b_high > b_low:
-                            inst = (
-                                f"coefficient r={r}, basis {basis}, shape "
-                                f"{format_partition(lam)} on a {spec.kind} cover "
-                                f"({move.serialize()})"
-                            )
-                            return False, inst, f"<= {b_low}", str(b_high)
-                        triples += 1
+        h = _poset(spec.kind, spec.n, spec.cycle_len)
+        shapes, width = enumerate_partitions(spec.n), spec.n + 1
+        # a node's tables live from its first cover to its last
+        last = {}
+        for index, (i, j) in enumerate(h.covers):
+            last[i] = last[j] = index
+        tables: dict[int, list] = {}
+        for index, (i, j) in enumerate(h.covers):
+            for v in (i, j):
+                if v not in tables:
+                    g = h.nodes[v]
+                    tables[v] = [
+                        tuple(chain.from_iterable(census_table(g, _censuses(g, cap), b)))
+                        for b in bases
+                    ]
+            low, high = tables[i], tables[j]
+            if any(any(map(gt, up, down)) for up, down in zip(high, low)):
+                # the first rise in the order shape, basis, r
+                k, b, at = next(
+                    (k, b, at)
+                    for k in range(len(shapes))
+                    for b in range(len(bases))
+                    for at in range(k * width, (k + 1) * width)
+                    if high[b][at] > low[b][at]
+                )
+                inst = (
+                    f"coefficient r={at - k * width}, basis {bases[b]}, shape "
+                    f"{format_partition(shapes[k])} on a {spec.kind} cover "
+                    f"({h.witnesses[i, j].serialize()})"
+                )
+                return False, inst, f"<= {low[b][at]}", str(high[b][at])
+            triples += len(shapes) * len(bases) * width
+            for v in (i, j):
+                if last[v] == index:
+                    del tables[v]
     return (
         True,
         f"{triples} coefficient comparisons monotone along all shift covers",
@@ -438,7 +472,9 @@ def _check_transport_injectivity(config: SuiteConfig):
     # the lower graph, the source's cycle lengths, and no repeat
     mapped = 0
     for spec in _monotone_posets(config):
-        for below, move, above in _cover_instances(spec):
+        for below, move, _ in _cover_instances(spec):
+            plan = _transport_plan(below, move)
+            above = plan.shifted
             walk = prod(1 + above.degree(v) for v in above.vertices())
             if walk > config.census_cap:
                 raise CapacityError(
@@ -446,7 +482,6 @@ def _check_transport_injectivity(config: SuiteConfig):
                     f"({move.serialize()}) exceeds the cap of {config.census_cap} "
                     f"(raise it with --census-cap)"
                 )
-            plan = _transport_plan(below, move)
             choices = {v: sorted(above.neighbors(v)) for v in above.vertices()}
             edge_mask = [0] * (below.n + 1)
             for a, b in below.edges():
@@ -647,7 +682,11 @@ def run_suite(config: SuiteConfig) -> list[CheckReport]:
                 f"unknown check {config.only!r}; valid ids: {', '.join(ids)}"
             )
         ids = [config.only]
-    return [_run_one(check_id, config) for check_id in ids]
+    try:
+        return [_run_one(check_id, config) for check_id in ids]
+    finally:
+        for run_cache in RUN_CACHES:
+            run_cache.cache_clear()
 
 
 def format_reports(reports, include_times: bool = False) -> str:

@@ -279,6 +279,33 @@ def shift_move_by_share_cycle(g, recipient: int, donor: int):
     return recipient, donor, path, side(recipient), side(donor)
 
 
+def shifts_by_all_pairs(g, canonical):
+    """The path shifts of g that change its isomorphism class, tried on every
+    pair recipient < donor in turn: (recipient, donor, path, x_side, y_side,
+    class of the result) each.
+
+    Moves come from shift_move_by_share_cycle; a donor with nothing past it
+    is skipped, the rest are rewired by hand on the edge set, and
+    canonical(n, edges) keys the isomorphism class (a brute-force search
+    over 9! relabellings per move would be too slow here).
+    """
+    edges = {frozenset(e) for e in g.edges()}
+    base = canonical(g.n, sorted(tuple(sorted(e)) for e in edges))
+    out = []
+    for recipient in range(1, g.n + 1):
+        for donor in range(recipient + 1, g.n + 1):
+            move = shift_move_by_share_cycle(g, recipient, donor)
+            if move is None or not move[4]:
+                continue
+            moved = [w for w in g.neighbors(donor) if w != move[2][-2]]
+            result = edges - {frozenset((donor, w)) for w in moved}
+            result |= {frozenset((recipient, w)) for w in moved}
+            key = canonical(g.n, sorted(tuple(sorted(e)) for e in result))
+            if key != base:
+                out.append(move + (key,))
+    return out
+
+
 def connected_bipartite_edge_sets(n: int):
     """Every edge subset of K_n that is connected and 2-colourable, labelled.
 

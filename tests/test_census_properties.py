@@ -1,5 +1,6 @@
 """Property test: on random bipartite graphs the census route, the matrix
-route and the permutation-sum oracle agree in every basis and shape."""
+route (each per coefficient and as a table) and the permutation-sum oracle
+agree in every basis and shape."""
 
 import pytest
 
@@ -9,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import immanant_by_permutations
 
 from lapshift.graphs import Graph, laplacian
-from lapshift.immanants import immanantal_polynomial
-from lapshift.orientations import census_by_size, census_transform
+from lapshift.immanants import immanantal_polynomial, polynomial_table
+from lapshift.orientations import census_by_size, census_table, census_transform
 from lapshift.partitions import enumerate_partitions
 from lapshift.symfunc import BASES, inverse_frobenius
 
@@ -40,9 +41,10 @@ def test_census_matrix_and_permutation_routes_agree(g):
         mu: immanant_by_permutations(lap, lambda ct, t=mu.parts: int(ct == t)) for mu in shapes
     }
     for basis in BASES:
-        for lam in shapes:
+        tables = zip(census_table(g, censuses, basis), polynomial_table(lap, basis))
+        for lam, (census_row, matrix_row) in zip(shapes, tables):
             f = inverse_frobenius(basis, lam)
             direct = immanantal_polynomial(lap, f).coefficients
             via = tuple(census_transform(g, censuses[r], lam, basis) for r in range(g.n + 1))
-            assert via == direct, (basis, lam)
+            assert via == direct == census_row == matrix_row, (basis, lam)
             assert direct[g.n] == sum(f(mu) * value for mu, value in by_type.items())

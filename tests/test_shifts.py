@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import are_isomorphic, share_cycle, shift_move_by_share_cycle
+from oracles import are_isomorphic, share_cycle, shift_move_by_share_cycle, shifts_by_all_pairs
 
 from lapshift import shifts
 from lapshift.canon import canonical_form
@@ -17,6 +17,7 @@ from lapshift.shifts import (
     kelmans,
     resolve_move,
     shift_applicable,
+    shifts_with_forms,
     tree_shift_applicable,
 )
 
@@ -193,3 +194,20 @@ def test_shift_applicable_matches_share_cycle_oracle():
                 )
                 pairs += 1
     assert pairs == 14806
+
+
+def test_shift_enumeration_matches_all_pairs_oracle():
+    # shifts_with_forms tries only the donors on degree-2 chains from each
+    # recipient and rewires without revalidating; the oracle tries every pair
+    def canonical(n, edges):
+        return canonical_form(Graph(n, edges))
+
+    moves = 0
+    for g in _differential_corpus():
+        got = [
+            (m.recipient, m.donor, m.path, m.x_side, m.y_side, form)
+            for m, form in shifts_with_forms(g)
+        ]
+        assert got == shifts_by_all_pairs(g, canonical), g.edges()
+        moves += len(got)
+    assert moves == 788

@@ -7,6 +7,7 @@ from lapshift import orientations, verify
 
 from lapshift.errors import CapacityError, InvalidInputError
 from lapshift.families import FamilySpec
+from lapshift.partitions import Partition
 from lapshift.verify import (
     CHECKS,
     SuiteConfig,
@@ -202,3 +203,53 @@ def test_spectral_wiener_check_catches_an_inverted_invariant(monkeypatch, invari
     move = h.witnesses[h.covers[0]]
     assert report.description.endswith(f"on a cover of (n=5, cycle 3) ({move.serialize()})")
     assert format_reports([report]).startswith("FAIL spectral-wiener:")
+
+
+def test_run_caches_last_one_run():
+    config = SuiteConfig(**SMALL, bases=("s",))
+    first = format_reports(run_suite(config))
+    assert all(c.cache_info().currsize == 0 for c in verify.RUN_CACHES)
+    assert format_reports(run_suite(config)) == first
+    assert all(c.cache_info().currsize == 0 for c in verify.RUN_CACHES)
+    # a refused census leaves nothing behind either: the corpus graphs with
+    # at most one cycle are counted before the first with two is refused
+    with pytest.raises(CapacityError):
+        run_suite(SuiteConfig(only="census-coefficients", census_cap=1, **SMALL))
+    assert all(c.cache_info().currsize == 0 for c in verify.RUN_CACHES)
+
+
+FIRST_RISES = [
+    ("census", ("s",), "census of type 2,1,1,1,1 at r=2", "<= 6", "1006"),
+    ("coefficient", ("s",), "coefficient r=2, basis s, shape 6", "<= 65", "2063"),
+    ("coefficient", ("p", "h"), "coefficient r=2, basis h, shape 6", "<= 65", "2063"),
+    ("coefficient", ("p",), "coefficient r=2, basis p, shape 2,1,1,1,1", "<= 288", "48288"),
+    ("coefficient", ("e",), "coefficient r=2, basis e, shape 5,1", "<= 330", "2318"),
+]
+
+
+@pytest.mark.parametrize("kind, bases, where, expected, actual", FIRST_RISES)
+def test_monotonicity_checks_read_each_nodes_census(
+    monkeypatch, kind, bases, where, expected, actual
+):
+    # raise one census count of the upper node of the first cover: both
+    # checks fail on that cover, at the first rise in check order
+    h = verify._poset("unicyclic", 6, 4)
+    i, j = h.covers[0]
+    target, move = h.nodes[j], h.witnesses[i, j]
+    real = verify.census_by_size
+
+    def perturbed(g, cap):
+        censuses = real(g, cap)
+        if g == target:
+            censuses = [dict(c) for c in censuses]
+            mu = Partition([2, 1, 1, 1, 1])
+            censuses[2][mu] = censuses[2].get(mu, 0) + 1000
+        return censuses
+
+    monkeypatch.setattr(verify, "census_by_size", perturbed)
+    check_id = f"{kind}-monotonicity"
+    report = run_suite(SuiteConfig(only=check_id, bases=bases, **SMALL))[0]
+    assert not report.passed
+    assert report.description == f"{where} on a unicyclic cover ({move.serialize()})"
+    assert (report.expected, report.actual) == (expected, actual)
+    assert format_reports([report]).startswith(f"FAIL {check_id}:")
