@@ -32,6 +32,7 @@ from .graphs import (
     read_edge_list,
     spectral_radius,
     star_graph,
+    two_core,
     wiener_index,
 )
 from .immanants import (
@@ -49,7 +50,6 @@ from .orientations import (
     census_by_size,
     census_transform,
     classify_type,
-    coefficient_via_orientations,
     enumerate_orientations,
     immanant_via_orientations,
     orientation_census,

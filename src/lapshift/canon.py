@@ -13,7 +13,7 @@ from functools import cache
 from itertools import permutations, product
 
 from .errors import CapacityError
-from .graphs import Graph
+from .graphs import Graph, two_core
 
 BRUTE_FORCE_CAP = 10
 
@@ -48,26 +48,6 @@ def _rooted_encoding(g: Graph, root: int, blocked: frozenset[int] = frozenset())
         return "(" + "".join(children) + ")"
 
     return encode(root, 0)
-
-
-def _cycle_vertices(g: Graph) -> set[int]:
-    """The 2-core; for a unicyclic graph this is exactly the cycle."""
-    degree = {v: g.degree(v) for v in g.vertices()}
-    alive = set(g.vertices())
-    layer = [v for v in alive if degree[v] <= 1]
-    while layer:
-        nxt = []
-        for v in layer:
-            if v not in alive:
-                continue
-            alive.discard(v)
-            for w in g.neighbors(v):
-                if w in alive:
-                    degree[w] -= 1
-                    if degree[w] <= 1:
-                        nxt.append(w)
-        layer = nxt
-    return alive
 
 
 def _degree_class_relabelings(g: Graph):
@@ -120,7 +100,7 @@ def canonical_form(g: Graph, cap: int = BRUTE_FORCE_CAP) -> str:
             centres = _tree_centres(g, vertices)
             return "T:" + min(_rooted_encoding(g, c) for c in centres)
         if m == n:
-            cycle = _cycle_vertices(g)
+            cycle = two_core(g)
             anchors = [v for v in cycle if g.degree(v) > 2]
             if not anchors:
                 return f"C:{n}"

@@ -74,13 +74,9 @@ class CharacterTable:
             raise InvalidInputError(f"character table needs n >= 0, got {n}")
         self.n = n
         self.shapes = enumerate_partitions(n)
-        self._index = {lam: i for i, lam in enumerate(self.shapes)}
         self.rows = tuple(
             tuple(character(lam, nu) for nu in self.shapes) for lam in self.shapes
         )
-
-    def value(self, lam: Partition, nu: Partition) -> int:
-        return self.rows[self._index[lam]][self._index[nu]]
 
     def check_orthogonality(self) -> None:
         """Raise if the rows fail the standard orthogonality relations."""

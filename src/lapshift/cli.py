@@ -20,6 +20,7 @@ from .graphs import (
     format_edge_list,
     laplacian,
     parse_edge_list,
+    read_edge_list,
     spectral_radius,
     wiener_index,
 )
@@ -48,7 +49,7 @@ OUTPUT_DIR_ENV = "LAPSHIFT_OUTPUT_DIR"
 def _read_graph(path: str) -> Graph:
     if path == "-":
         return parse_edge_list(sys.stdin.read())
-    return parse_edge_list(Path(path).read_text(encoding="utf-8"))
+    return read_edge_list(path)
 
 
 def _csv_writer():

@@ -88,18 +88,15 @@ class FamilySpec:
 
 
 def _glue_tree(k: int, levels: tuple[int, ...]) -> Graph:
-    """Cycle 1..k with the rooted tree hung from vertex 1."""
-    n = k + len(levels) - 1
-    edges = [(i, i + 1) for i in range(1, k)] + [(1, k)]
+    """Cycle 1..k with the rooted tree of the level sequence hung from
+    vertex 1; the tree's vertex j > 1 becomes k + j - 1."""
 
     def relabel(j: int) -> int:
         return 1 if j == 1 else k + j - 1
 
-    latest = {1: 1}
-    for i, level in enumerate(levels[1:], start=2):
-        edges.append((relabel(latest[level - 1]), relabel(i)))
-        latest[level] = i
-    return Graph(n, edges)
+    edges = [(i, i + 1) for i in range(1, k)] + [(1, k)]
+    edges += [(relabel(a), relabel(b)) for a, b in tree_from_levels(levels).edges()]
+    return Graph(k + len(levels) - 1, edges)
 
 
 @cache
@@ -121,20 +118,13 @@ def family_members(spec: FamilySpec) -> tuple[Graph, ...]:
 def star_form(n: int, cycle_len: int) -> Graph:
     """The family member with every off-cycle vertex pendant at the anchor."""
     FamilySpec("unicyclic", n, cycle_len)
-    k = cycle_len
-    edges = [(i, i + 1) for i in range(1, k)] + [(1, k)]
-    edges += [(1, v) for v in range(k + 1, n + 1)]
-    return Graph(n, edges)
+    return _glue_tree(cycle_len, (1,) + (2,) * (n - cycle_len))
 
 
 def path_form(n: int, cycle_len: int) -> Graph:
     """The family member whose off-cycle vertices form a path at the anchor."""
     FamilySpec("unicyclic", n, cycle_len)
-    k = cycle_len
-    edges = [(i, i + 1) for i in range(1, k)] + [(1, k)]
-    chain = [1] + list(range(k + 1, n + 1))
-    edges += list(zip(chain, chain[1:]))
-    return Graph(n, edges)
+    return _glue_tree(cycle_len, tuple(range(1, n - cycle_len + 2)))
 
 
 @cache

@@ -196,6 +196,22 @@ def _two_colouring(g: Graph) -> dict[int, int] | None:
     return colour
 
 
+def two_core(g: Graph) -> set[int]:
+    """The 2-core: what is left after vertices of degree at most 1 are
+    deleted until none remain.  Empty on a forest; the cycle on a connected
+    unicyclic graph."""
+    degree = [0] + [g.degree(v) for v in g.vertices()]
+    leaves = [v for v in g.vertices() if degree[v] <= 1]
+    stripped = set(leaves)
+    while leaves:
+        for w in g.neighbors(leaves.pop()):
+            degree[w] -= 1
+            if degree[w] == 1 and w not in stripped:
+                stripped.add(w)
+                leaves.append(w)
+    return set(g.vertices()) - stripped
+
+
 def wiener_index(g: Graph) -> int:
     """Sum of shortest-path distances over unordered vertex pairs."""
     total = 0

@@ -38,7 +38,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .errors import CapacityError, DomainError, InvalidInputError
-from .graphs import Graph, has_bipartition
+from .graphs import Graph, has_bipartition, two_core
 from .graphs import is_bipartite  # unused here; bench/workloads.py traces it by this name
 from .immanants import ImmanantalPolynomial
 from .partitions import Partition
@@ -293,20 +293,6 @@ def _cycle_rank(g: Graph) -> int:
     return closing
 
 
-def _cycle_vertices(g: Graph) -> set[int]:
-    """The 2-core: what is left after leaves are stripped until none remain."""
-    degree = [0] + [g.degree(v) for v in g.vertices()]
-    leaves = [v for v in g.vertices() if degree[v] <= 1]
-    stripped = set(leaves)
-    while leaves:
-        for w in g.neighbors(leaves.pop()):
-            degree[w] -= 1
-            if degree[w] == 1 and w not in stripped:
-                stripped.add(w)
-                leaves.append(w)
-    return set(g.vertices()) - stripped
-
-
 def _mul(p: dict, q: dict, top: int) -> dict:
     out: dict[tuple[int, int], int] = {}
     for (i, j), a in p.items():
@@ -371,7 +357,7 @@ def _matching_series(g: Graph, top: int) -> dict:
     2 (y_k - 1) x^k, with the matchings of G - V(C).
     """
     everything = set(g.vertices())
-    cycle = _cycle_vertices(g)
+    cycle = two_core(g)
     k = len(cycle)
     through_cycle: dict[tuple[int, int], int] = {}
     if not cycle:
@@ -437,11 +423,6 @@ def census_table(g: Graph, censuses, basis: str) -> tuple[tuple[int, ...], ...]:
 def immanant_via_orientations(g: Graph, lam: Partition, basis: str = "s") -> int:
     """Laplacian immanant (or generalized matrix function) from the full census."""
     return census_transform(g, orientation_census(g), lam, basis)
-
-
-def coefficient_via_orientations(g: Graph, lam: Partition, r: int, basis: str = "s") -> int:
-    """Coefficient b_r of the immanantal polynomial from the size-r census."""
-    return census_transform(g, subset_orientation_census(g, r), lam, basis)
 
 
 def polynomial_via_orientations(

@@ -37,45 +37,31 @@ class HasseDiagram:
         return tuple(j for j in range(len(self.nodes)) if j not in with_in)
 
 
-def _assert_acyclic(n: int, arcs: set[tuple[int, int]]) -> None:
-    succ = {i: [] for i in range(n)}
+def _reachability(n: int, arcs) -> list[set[int]]:
+    """reach[i]: every node a chain of arcs leads to from node i.
+
+    One pass: a topological order by Kahn's algorithm (Kahn, CACM 5, 1962),
+    which comes out short exactly when the arcs hold a cycle, then reach
+    filled in reverse order, each node's from its successors'.
+    """
+    succ: list[list[int]] = [[] for _ in range(n)]
+    indegree = [0] * n
     for i, j in arcs:
         succ[i].append(j)
-    state = [0] * n
-    for root in range(n):
-        stack = [(root, iter(succ[root]))]
-        if state[root]:
-            continue
-        state[root] = 1
-        while stack:
-            v, it = stack[-1]
-            for w in it:
-                if state[w] == 1:
-                    raise RuntimeError("shift arcs form a cycle")
-                if state[w] == 0:
-                    state[w] = 1
-                    stack.append((w, iter(succ[w])))
-                    break
-            else:
-                state[v] = 2
-                stack.pop()
-
-
-def _reachability(n: int, arcs: set[tuple[int, int]]) -> list[set[int]]:
-    reach = [set() for _ in range(n)]
-    succ = {i: set() for i in range(n)}
-    for i, j in arcs:
-        succ[i].add(j)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            new = set(succ[i])
-            for j in succ[i]:
-                new |= reach[j]
-            if new != reach[i]:
-                reach[i] = new
-                changed = True
+        indegree[j] += 1
+    order = [i for i in range(n) if not indegree[i]]
+    for i in order:  # grows while it is read
+        for j in succ[i]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                order.append(j)
+    if len(order) != n:
+        raise RuntimeError("shift arcs form a cycle")
+    reach: list[set[int]] = [set() for _ in range(n)]
+    for i in reversed(order):
+        for j in succ[i]:
+            reach[i].add(j)
+            reach[i] |= reach[j]
     return reach
 
 
@@ -86,8 +72,7 @@ def build_poset(members) -> HasseDiagram:
     index = {c: i for i, c in enumerate(canon)}
     if len(index) != len(nodes):
         raise DomainError("family members must be pairwise non-isomorphic")
-    arcs: set[tuple[int, int]] = set()
-    witnesses: dict[tuple[int, int], ShiftMove] = {}
+    witnesses: dict[tuple[int, int], ShiftMove] = {}  # the arcs, each with its first move
     for i, g in enumerate(nodes):
         for move, key in shifts_with_forms(g):
             if key not in index:
@@ -95,15 +80,12 @@ def build_poset(members) -> HasseDiagram:
             j = index[key]
             if j == i:
                 raise RuntimeError("a shift returned a graph isomorphic to its input")
-            if (i, j) not in arcs:
-                arcs.add((i, j))
-                witnesses[i, j] = move
-    _assert_acyclic(len(nodes), arcs)
-    reach = _reachability(len(nodes), arcs)
+            witnesses.setdefault((i, j), move)
+    reach = _reachability(len(nodes), witnesses)
     covers = tuple(
         sorted(
             (i, j)
-            for i, j in arcs
+            for i, j in witnesses
             if not any(t != j and j in reach[t] for t in reach[i])
         )
     )

@@ -64,23 +64,38 @@ def _component(g: Graph, start: int, dropped_edges: set[tuple[int, int]]) -> set
     return seen
 
 
-def _interior_paths(g: Graph, u: int, k: int):
-    """Paths from u to k whose interior vertices all have degree 2."""
-    found = []
+def _chains(g: Graph, u: int) -> dict[int, list[tuple[int, ...]]]:
+    """{end: paths} over the walks that leave u, one per neighbour, and go on
+    through degree-2 vertices until a vertex of another degree or u again.
+
+    Every vertex the walks pass is an end, with the walk's prefix up to it,
+    so the paths to an end are exactly those from u whose interior vertices
+    all have degree 2.  Paths are listed in the order of u's neighbours.
+    """
+    chains: dict[int, list[tuple[int, ...]]] = {}
     for first in g.neighbors(u):
         path = [u, first]
         prev, cur = u, first
-        while cur != k and g.degree(cur) == 2 and cur != u:
-            nxt = next(w for w in g.neighbors(cur) if w != prev)
-            path.append(nxt)
-            prev, cur = cur, nxt
-        if cur == k:
-            found.append(tuple(path))
-    return found
+        while cur != u:
+            chains.setdefault(cur, []).append(tuple(path))
+            if g.degree(cur) != 2:
+                break
+            prev, cur = cur, next(w for w in g.neighbors(cur) if w != prev)
+            path.append(cur)
+    return chains
 
 
 def shift_applicable(g: Graph, recipient: int, donor: int):
-    """The ShiftMove for this ordered pair, or None when no move exists.
+    """The ShiftMove for this ordered pair, or None when no move exists."""
+    if recipient == donor:
+        raise InvalidInputError("recipient and donor must differ")
+    g._check_vertex(recipient)
+    g._check_vertex(donor)
+    return _move(g, recipient, donor, _chains(g, recipient).get(donor))
+
+
+def _move(g: Graph, recipient: int, donor: int, paths):
+    """shift_applicable for a pair whose paths with degree-2 interior are known.
 
     The ends share a cycle exactly when the donor is still reachable from
     the recipient once the first qualifying path's edges are dropped: a
@@ -88,11 +103,6 @@ def shift_applicable(g: Graph, recipient: int, donor: int):
     degree 2, so it closes a cycle with the path; and a cycle through both
     ends holds two internally disjoint routes, at most one of them the path.
     """
-    if recipient == donor:
-        raise InvalidInputError("recipient and donor must differ")
-    g._check_vertex(recipient)
-    g._check_vertex(donor)
-    paths = _interior_paths(g, recipient, donor)
     if not paths:
         return None
     path = paths[0]
@@ -138,29 +148,15 @@ def enumerate_shifts(g: Graph) -> list[ShiftMove]:
     return [move for move, _ in shifts_with_forms(g)]
 
 
-def _chain_ends(g: Graph, u: int) -> list[int]:
-    """The donors above u that a path from u with degree-2 interior reaches,
-    in increasing order: every vertex on the walks that leave u and go on
-    through degree-2 vertices.  _interior_paths finds nothing for the rest."""
-    reached = set()
-    for first in g.neighbors(u):
-        prev, cur = u, first
-        while cur != u and cur not in reached:
-            reached.add(cur)
-            if g.degree(cur) != 2:
-                break
-            prev, cur = cur, next(w for w in g.neighbors(cur) if w != prev)
-    return sorted(v for v in reached if v > u)
-
-
 def shifts_with_forms(g: Graph) -> list[tuple[ShiftMove, str]]:
     """enumerate_shifts' moves, each with the canonical form of its result,
     which the enumeration computes anyway to drop the isomorphic ones."""
     out = []
     base = canonical_form(g)
     for recipient in g.vertices():
-        for donor in _chain_ends(g, recipient):
-            move = shift_applicable(g, recipient, donor)
+        chains = _chains(g, recipient)
+        for donor in sorted(d for d in chains if d > recipient):
+            move = _move(g, recipient, donor, chains[donor])
             if move is None:
                 continue
             if not move.y_side:
@@ -174,13 +170,6 @@ def shifts_with_forms(g: Graph) -> list[tuple[ShiftMove, str]]:
 
 def is_tree(g: Graph) -> bool:
     return g.is_connected() and g.num_edges == g.n - 1
-
-
-def tree_shift_applicable(g: Graph, recipient: int, donor: int):
-    """The tree-restricted shift; rejects non-trees outright."""
-    if not is_tree(g):
-        raise DomainError("tree shift needs a tree")
-    return shift_applicable(g, recipient, donor)
 
 
 def resolve_move(g: Graph, recipient: int, donor: int) -> ShiftMove:

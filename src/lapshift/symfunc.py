@@ -69,9 +69,6 @@ class ClassFunction:
         except KeyError:
             raise InvalidInputError(f"{nu} is not a cycle type for n={self.n}") from None
 
-    def as_dict(self) -> dict[Partition, int]:
-        return dict(self.values)
-
 
 def kostka(mu: Partition, lam: Partition) -> int:
     """Count semistandard tableaux of shape mu and content lam."""
@@ -205,12 +202,6 @@ def _kostka_inverse(n: int) -> Table:
         for i in range(j - 1, -1, -1):
             inv[i][j] = -sum(k[i][t] * inv[t][j] for t in range(i + 1, j + 1))
     return tuple(tuple(row) for row in inv)
-
-
-def inverse_kostka_row(lam: Partition) -> dict[Partition, int]:
-    """Coefficients expressing the monomial m_lam over the schur basis."""
-    row = _kostka_inverse(lam.n)[_positions(lam.n)[lam]]
-    return {mu: c for mu, c in zip(_shapes(lam.n), row) if c != 0}
 
 
 @cache

@@ -2,7 +2,8 @@
 
 Everything here is written the slow, obvious way on purpose: explicit
 permutation sums, Fraction Gaussian elimination, Floyd-Warshall, brute-force
-isomorphism search, a vertex-deletion cycle test, an orientation walk.  None of it shares code paths with the package modules
+isomorphism search, a vertex-deletion cycle test, a leaf-deletion 2-core, an
+orientation walk.  None of it shares code paths with the package modules
 it checks.
 """
 
@@ -206,6 +207,19 @@ def are_isomorphic(n: int, edges_a, edges_b) -> bool:
         if mapped == set_b:
             return True
     return False
+
+
+def two_core_by_deletion(n: int, edges) -> set[int]:
+    """Delete any vertex of degree at most 1, one at a time, until none is
+    left; the vertices that remain."""
+    alive = set(range(1, n + 1))
+    edges = {frozenset(e) for e in edges}
+    while True:
+        low = [v for v in alive if sum(v in e for e in edges) <= 1]
+        if not low:
+            return alive
+        alive.discard(low[0])
+        edges = {e for e in edges if low[0] not in e}
 
 
 def _connected_avoiding(g, u: int, v: int, skip_vertex=None, skip_edge=None) -> bool:

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from oracles import largest_eigenvalue, wiener_by_floyd_warshall
+from oracles import largest_eigenvalue, two_core_by_deletion, wiener_by_floyd_warshall
 
 from lapshift.errors import DomainError, InvalidInputError, ParseError
 from lapshift.graphs import (
@@ -18,8 +18,10 @@ from lapshift.graphs import (
     path_graph,
     spectral_radius,
     star_graph,
+    two_core,
     wiener_index,
 )
+from lapshift.families import connected_bipartite_graphs, free_trees, unicyclic_family
 
 
 def test_construction_rejects_bad_edges():
@@ -109,6 +111,29 @@ def test_bipartite_result_is_kept_but_copied():
     assert again[0] and again[1][1] != again[1][2]
     odd = cycle_graph(5)
     assert is_bipartite(odd) == is_bipartite(odd) == (False, None)
+
+
+def test_two_core_matches_deletion_oracle():
+    cases = [
+        # two triangles joined by the path 3-7-4, with the tail 7-8-9
+        (Graph(9, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (3, 7), (7, 4), (7, 8), (8, 9)]),
+         {1, 2, 3, 4, 5, 6, 7}),
+        # theta graph: three paths from 1 to 2, with the tail 2-7-8
+        (Graph(8, [(1, 3), (3, 2), (1, 4), (4, 5), (5, 2), (1, 6), (6, 2), (2, 7), (7, 8)]),
+         {1, 2, 3, 4, 5, 6}),
+        # K_{2,3} on {1, 2} and {3, 4, 5}, with the pendant path 5-6-7-8
+        (Graph(8, [(u, v) for u in (1, 2) for v in (3, 4, 5)] + [(5, 6), (6, 7), (7, 8)]),
+         {1, 2, 3, 4, 5}),
+        # a forest: two paths and an isolated vertex
+        (Graph(7, [(1, 2), (2, 3), (4, 5), (5, 6)]), set()),
+    ]
+    for g, core in cases:
+        assert two_core(g) == core == two_core_by_deletion(g.n, g.edges()), g.edges()
+    corpus = [complete_graph(5), cycle_graph(6), Graph(1)]
+    corpus += [g for n in range(1, 7) for g in connected_bipartite_graphs(n)]
+    corpus += list(free_trees(7)) + list(unicyclic_family(8, 4))
+    for g in corpus:
+        assert two_core(g) == two_core_by_deletion(g.n, g.edges()), g.edges()
 
 
 def test_wiener_index_frozen():

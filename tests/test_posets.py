@@ -1,5 +1,7 @@
 import pytest
 
+from oracles import shifts_by_all_pairs
+
 from lapshift import posets
 from lapshift.canon import canonical_form
 from lapshift.errors import DomainError
@@ -46,27 +48,43 @@ def test_unicyclic_poset_extremes():
     assert len(h.minimal()) == 1
 
 
-def test_covers_are_transitively_reduced():
-    h = build_poset(free_trees(6))
+def _closure(n, arcs):
+    """Pairs (a, b) with b reachable from a along arcs, by a search from each a."""
     succ = {}
-    for i, j in h.covers:
+    for i, j in arcs:
         succ.setdefault(i, set()).add(j)
-
-    def reachable(a, b, skip):
-        stack = [a]
-        seen = set()
+    pairs = set()
+    for a in range(n):
+        stack = list(succ.get(a, ()))
         while stack:
-            v = stack.pop()
-            if v == b:
-                return True
-            for w in succ.get(v, ()):
-                if (v, w) != skip and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return False
+            b = stack.pop()
+            if (a, b) not in pairs:
+                pairs.add((a, b))
+                stack.extend(succ.get(b, ()))
+    return pairs
 
-    for i, j in h.covers:
-        assert not reachable(i, j, skip=(i, j)), f"cover {i}->{j} is implied"
+
+def test_covers_are_transitively_reduced():
+    # the raw arcs are rebuilt by the all-pairs oracle, without the chain
+    # walk or the poset's own closure
+    def canonical(n, edges):
+        return canonical_form(Graph(n, edges))
+
+    families = [free_trees(n) for n in range(1, 9)]
+    families += [unicyclic_family(n, k) for n, k in ((7, 3), (8, 4), (9, 6))]
+    for members in families:
+        h = build_poset(members)
+        index = {c: i for i, c in enumerate(h.canon)}
+        arcs = {
+            (i, index[move[-1]])
+            for i, g in enumerate(h.nodes)
+            for move in shifts_by_all_pairs(g, canonical)
+        }
+        assert set(h.covers) <= arcs
+        assert _closure(len(h.nodes), h.covers) == _closure(len(h.nodes), arcs)
+        for i, j in h.covers:
+            rest = set(h.covers) - {(i, j)}
+            assert (i, j) not in _closure(len(h.nodes), rest), f"cover {i}->{j} is implied"
 
 
 def test_witnesses_reproduce_covers():
@@ -130,5 +148,14 @@ def test_shift_onto_itself_raises(monkeypatch):
 def test_cyclic_arcs_raise():
     # the invariant must survive python -O, so it is an exception, not an assert
     with pytest.raises(RuntimeError, match="form a cycle"):
-        posets._assert_acyclic(2, {(0, 1), (1, 0)})
-    posets._assert_acyclic(3, {(0, 1), (1, 2), (0, 2)})
+        posets._reachability(2, {(0, 1), (1, 0)})
+    assert posets._reachability(3, {(0, 1), (1, 2), (0, 2)}) == [{1, 2}, {2}, set()]
+
+
+def test_reachability_follows_long_chains():
+    # the chain 0 -> 1 -> 2 -> 3 -> 4, listed out of order, with one
+    # shortcut and a second source 5
+    arcs = [(3, 4), (2, 3), (0, 1), (1, 2), (0, 3), (5, 2)]
+    assert posets._reachability(6, arcs) == [
+        {1, 2, 3, 4}, {2, 3, 4}, {3, 4}, {4}, set(), {2, 3, 4}
+    ]

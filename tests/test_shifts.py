@@ -18,7 +18,6 @@ from lapshift.shifts import (
     resolve_move,
     shift_applicable,
     shifts_with_forms,
-    tree_shift_applicable,
 )
 
 
@@ -143,13 +142,6 @@ def test_exchanging_sides_gives_isomorphic_result():
     assert are_isomorphic(g.n, a.edges(), b.edges())
 
 
-def test_tree_shift_guards():
-    with pytest.raises(DomainError):
-        tree_shift_applicable(cycle_graph(4), 1, 2)
-    move = tree_shift_applicable(path_graph(4), 2, 3)
-    assert move == shift_applicable(path_graph(4), 2, 3)
-
-
 def test_unicyclic_shift_moves_tail_onto_cycle():
     # a square with a path tail: the cycle-sharing test permits pulling the
     # tail inward, and forbids moves inside the cycle
@@ -163,7 +155,7 @@ def test_unicyclic_shift_moves_tail_onto_cycle():
 
 def test_two_qualifying_paths_raise(monkeypatch):
     # the invariant must survive python -O, so it is an exception, not an assert
-    monkeypatch.setattr(shifts, "_interior_paths", lambda g, u, k: [(1, 2, 3), (1, 4, 3)])
+    monkeypatch.setattr(shifts, "_chains", lambda g, u: {3: [(1, 2, 3), (1, 4, 3)]})
     with pytest.raises(RuntimeError, match="on a cycle"):
         shift_applicable(path_graph(4), 1, 3)
 
