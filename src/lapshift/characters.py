@@ -54,7 +54,7 @@ def character(lam: Partition, nu: Partition) -> int:
     """Character chi_lam evaluated on the conjugacy class of cycle type nu."""
     if lam.n != nu.n:
         raise InvalidInputError(f"shape and cycle type disagree: {lam.parts} vs {nu.parts}")
-    return _character_value(lam.parts, tuple(sorted(nu.parts, reverse=True)))
+    return _character_value(lam, tuple(sorted(nu, reverse=True)))
 
 
 def character_degree(lam: Partition) -> int:

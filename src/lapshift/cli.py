@@ -82,10 +82,10 @@ def cmd_orientations(args) -> int:
         census = orientation_census(g)
     else:
         census = subset_orientation_census(g, args.r)
-    order = {mu: i for i, mu in enumerate(enumerate_partitions(g.n))}
     writer = _csv_writer()
     writer.writerow(["type", "count"])
-    for mu in sorted(census, key=order.__getitem__):
+    # canonical partition order is descending tuple order
+    for mu in sorted(census, reverse=True):
         writer.writerow([format_partition(mu), census[mu]])
     return 0
 

@@ -16,7 +16,7 @@ from .errors import ConvergenceError, DomainError, InvalidInputError, ParseError
 class Graph:
     """Immutable simple graph on vertices 1..n."""
 
-    __slots__ = ("n", "_adj", "_edges", "_bipartition")
+    __slots__ = ("n", "_adj", "_edges", "_hash", "_bipartition")
 
     def __init__(self, n: int, edges=()):
         if n < 1:
@@ -42,6 +42,8 @@ class Graph:
         self.n = n
         self._adj = tuple(frozenset(s) for s in adj)
         self._edges = tuple(sorted(seen))
+        # every graph-keyed cache hashes the graph; the edge tuple is hashed once
+        self._hash = hash((n, self._edges))
         self._bipartition = None  # kept by is_bipartite on first use
 
     def vertices(self) -> range:
@@ -87,7 +89,7 @@ class Graph:
         return isinstance(other, Graph) and self.n == other.n and self._edges == other._edges
 
     def __hash__(self):
-        return hash((self.n, self._edges))
+        return self._hash
 
     def __repr__(self):
         return f"Graph({self.n}, {list(self._edges)})"

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from itertools import combinations
 from operator import mul
 
@@ -62,13 +62,15 @@ def _poly_mul_linear(coeffs: list[int], c: int) -> list[int]:
     return out
 
 
-@cache
+@lru_cache(maxsize=64)
 def characteristic_type_polynomials(m: Matrix) -> dict[Partition, tuple[int, ...]]:
     """Per cycle type, the polynomial contribution to imm(xI - m).
 
     A permutation contributes the product of (x - m[i][i]) over its fixed
     points times the product of -m[i][j] along its cycles; entries are
     grouped by the permutation's full cycle type (fixed points included).
+    The cache holds the last 64 matrices: verify's normalized-sandwich
+    re-reads the 28 bipartite corpus walks after the table checks.
     """
     n = _check_square(m)
     allowed = [

@@ -155,9 +155,14 @@ def census_by_size(g: Graph, cap: int = FULL_CENSUS_CAP) -> list[dict[Partition,
 
 
 def _census_range(g: Graph, low: int, top: int, cap: int) -> list[dict[Partition, int]]:
-    """The censuses of domain sizes low..top, from the backend the graph takes."""
+    """The censuses of domain sizes low..top, from the backend the graph takes.
+
+    A graph with at most one independent cycle reads the matching series of
+    every size, kept per graph, so per-size calls share one series; the
+    split hands out fresh dicts.
+    """
     if _cycle_rank(g) <= 1:
-        series = _matching_series(g, top)
+        series = _matching_series(g)
     else:
         _check_cap(g, top, cap)
         series = _cycle_family_series(g, top)
@@ -268,7 +273,8 @@ def _cycle_family_series(g: Graph, top: int) -> dict:
 
 
 # The matching sum.  A polynomial in x (domain size) and y (2-cycles) is a
-# dict {(x degree, y degree): coefficient}, cut off above x^top.
+# dict {(x degree, y degree): coefficient}.  Each vertex adds at most one x,
+# so nothing is cut off: the series holds every size up to n.
 
 _EDGE = {(2, 1): 1, (2, 0): -1}  # one directed 2-cycle: (y - 1) x^2
 
@@ -293,13 +299,12 @@ def _cycle_rank(g: Graph) -> int:
     return closing
 
 
-def _mul(p: dict, q: dict, top: int) -> dict:
+def _mul(p: dict, q: dict) -> dict:
     out: dict[tuple[int, int], int] = {}
     for (i, j), a in p.items():
         for (k, l), b in q.items():
-            if i + k <= top:
-                key = (i + k, j + l)
-                out[key] = out.get(key, 0) + a * b
+            key = (i + k, j + l)
+            out[key] = out.get(key, 0) + a * b
     return out
 
 
@@ -310,7 +315,7 @@ def _add(p: dict, q: dict) -> dict:
     return out
 
 
-def _forest_matchings(g: Graph, alive: set[int], skip: frozenset, top: int) -> dict:
+def _forest_matchings(g: Graph, alive: set[int], skip: frozenset) -> dict:
     """Sum over matchings M of the forest g[alive] - skip of
     ((y - 1) x^2)^|M| times (1 + x deg v) for each v of alive outside V(M),
     with deg taken in g.
@@ -336,20 +341,22 @@ def _forest_matchings(g: Graph, alive: set[int], skip: frozenset, top: int) -> d
         paired: dict[int, dict] = {v: {} for v in order}
         for v in reversed(order):
             own = {(0, 0): 1, (1, 0): g.degree(v)}
-            total = _add(_mul(free[v], own, top), paired[v])
+            total = _add(_mul(free[v], own), paired[v])
             p = parent[v]
             if p:
-                matched = _mul(_mul(free[p], free[v], top), _EDGE, top)
-                paired[p] = _add(_mul(paired[p], total, top), matched)
-                free[p] = _mul(free[p], total, top)
+                matched = _mul(_mul(free[p], free[v]), _EDGE)
+                paired[p] = _add(_mul(paired[p], total), matched)
+                free[p] = _mul(free[p], total)
             else:
-                whole = _mul(whole, total, top)
+                whole = _mul(whole, total)
     return whole
 
 
-def _matching_series(g: Graph, top: int) -> dict:
-    """The census series of a graph with at most one independent cycle, cut
-    off above x^top, as {(size, cycle lengths): count}.
+@lru_cache(maxsize=8)
+def _matching_series(g: Graph) -> dict:
+    """The census series of a graph with at most one independent cycle, as
+    {(size, cycle lengths): count}, every size 0..n.  Cutting it off above
+    x^r commutes with the products, so one series per graph serves every r.
 
     On a forest the directed cycles are the edges, so Gamma is a matching.
     With a k-cycle C, split on one of its edges ab: the matchings avoiding
@@ -361,19 +368,19 @@ def _matching_series(g: Graph, top: int) -> dict:
     k = len(cycle)
     through_cycle: dict[tuple[int, int], int] = {}
     if not cycle:
-        matchings = _forest_matchings(g, everything, frozenset(), top)
+        matchings = _forest_matchings(g, everything, frozenset())
     else:
         a = min(cycle)
         b = min(w for w in g.neighbors(a) if w in cycle)
         ab = frozenset((a, b))
         matchings = _add(
-            _forest_matchings(g, everything, ab, top),
-            _mul(_forest_matchings(g, everything - ab, frozenset(), top), _EDGE, top),
+            _forest_matchings(g, everything, ab),
+            _mul(_forest_matchings(g, everything - ab, frozenset()), _EDGE),
         )
         # 2 (y_k - 1) x^k M(G - V(C)): the y_k part is the types with a
         # k-cycle, the -1 part joins the rest
-        outside = _forest_matchings(g, everything - cycle, frozenset(), top)
-        through_cycle = _mul(outside, {(k, 0): 2}, top)
+        outside = _forest_matchings(g, everything - cycle, frozenset())
+        through_cycle = _mul(outside, {(k, 0): 2})
         matchings = _add(matchings, {key: -c for key, c in through_cycle.items()})
     series = {}
     for head, poly in (((), matchings), ((k,), through_cycle)):

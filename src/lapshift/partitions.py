@@ -13,62 +13,54 @@ from math import comb, factorial, prod
 from .errors import InvalidInputError
 
 
-class Partition:
-    """A weakly decreasing sequence of positive integers."""
+class Partition(tuple):
+    """A weakly decreasing sequence of positive integers.
 
-    __slots__ = ("parts",)
+    A tuple of its parts, so hashing and equality run at tuple speed: a
+    partition hashes, and compares equal, like the plain tuple of its parts.
+    """
 
-    def __init__(self, parts=()):
-        ps = tuple(int(p) for p in parts)
-        for p in ps:
-            if p <= 0:
-                raise InvalidInputError(f"partition parts must be positive, got {ps}")
-        for a, b in zip(ps, ps[1:]):
-            if a < b:
-                raise InvalidInputError(f"partition parts must be weakly decreasing, got {ps}")
-        self.parts = ps
+    __slots__ = ()
+
+    def __new__(cls, parts=()):
+        ps = tuple(map(int, parts))
+        if ps and min(ps) <= 0:
+            raise InvalidInputError(f"partition parts must be positive, got {ps}")
+        if list(ps) != sorted(ps, reverse=True):
+            raise InvalidInputError(f"partition parts must be weakly decreasing, got {ps}")
+        return super().__new__(cls, ps)
+
+    @property
+    def parts(self) -> tuple[int, ...]:
+        """The parts as a plain tuple (a copy)."""
+        return tuple(self)
 
     @property
     def n(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
+        return sum(self)
 
     def __repr__(self):
-        return f"Partition({list(self.parts)})"
+        return f"Partition({list(self)})"
 
     def __str__(self):
         return format_partition(self)
 
     def multiplicity(self, i: int) -> int:
         """Number of parts equal to i."""
-        return self.parts.count(i)
+        return self.count(i)
 
     def multiplicities(self) -> dict[int, int]:
         """Map part value -> multiplicity, for the part values present."""
         out: dict[int, int] = {}
-        for p in self.parts:
+        for p in self:
             out[p] = out.get(p, 0) + 1
         return out
 
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram."""
-        if not self.parts:
+        if not self:
             return Partition(())
-        cols = [sum(1 for p in self.parts if p > j) for j in range(self.parts[0])]
+        cols = [sum(1 for p in self if p > j) for j in range(self[0])]
         return Partition(cols)
 
 
@@ -126,7 +118,7 @@ def parse_partition(text: str) -> Partition:
 
 def format_partition(lam: Partition) -> str:
     """Comma form, e.g. "3,1,1".  The empty partition formats as ""."""
-    return ",".join(str(p) for p in lam.parts)
+    return ",".join(str(p) for p in lam)
 
 
 def _check_same_weight(a: Partition, b: Partition) -> None:
@@ -172,8 +164,8 @@ def dominates(a: Partition, b: Partition) -> bool:
     _check_same_weight(a, b)
     ta, tb = 0, 0
     for i in range(max(len(a), len(b))):
-        ta += a.parts[i] if i < len(a) else 0
-        tb += b.parts[i] if i < len(b) else 0
+        ta += a[i] if i < len(a) else 0
+        tb += b[i] if i < len(b) else 0
         if ta < tb:
             return False
     return True

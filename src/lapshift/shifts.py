@@ -168,10 +168,6 @@ def shifts_with_forms(g: Graph) -> list[tuple[ShiftMove, str]]:
     return out
 
 
-def is_tree(g: Graph) -> bool:
-    return g.is_connected() and g.num_edges == g.n - 1
-
-
 def resolve_move(g: Graph, recipient: int, donor: int) -> ShiftMove:
     """shift_applicable that raises instead of returning None."""
     move = shift_applicable(g, recipient, donor)

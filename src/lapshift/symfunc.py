@@ -74,12 +74,12 @@ def kostka(mu: Partition, lam: Partition) -> int:
     """Count semistandard tableaux of shape mu and content lam."""
     if mu.n != lam.n:
         raise InvalidInputError(f"shape and content disagree: {mu.parts} vs {lam.parts}")
-    if not mu.parts:
+    if not mu:
         return 1
     if not dominates(mu, lam):
         return 0
-    shape = mu.parts
-    remaining = list(lam.parts)
+    shape = mu
+    remaining = list(lam)
     nvals = len(remaining)
     above: list[list[int]] = [[0] * p for p in shape]
 
@@ -145,7 +145,7 @@ def _young_characters(n: int) -> Table:
         return total
 
     shapes = _shapes(n)
-    return tuple(tuple(fill(nu.parts, lam.parts) for nu in shapes) for lam in shapes)
+    return tuple(tuple(fill(nu, lam) for nu in shapes) for lam in shapes)
 
 
 @cache

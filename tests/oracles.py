@@ -2,9 +2,9 @@
 
 Everything here is written the slow, obvious way on purpose: explicit
 permutation sums, Fraction Gaussian elimination, Floyd-Warshall, brute-force
-isomorphism search, a vertex-deletion cycle test, a leaf-deletion 2-core, an
-orientation walk.  None of it shares code paths with the package modules
-it checks.
+isomorphism search, a vertex-deletion cycle test, a leaf-deletion 2-core, a
+relabelling tree test, an orientation walk.  None of it shares code paths
+with the package modules it checks.
 """
 
 from fractions import Fraction
@@ -220,6 +220,16 @@ def two_core_by_deletion(n: int, edges) -> set[int]:
             return alive
         alive.discard(low[0])
         edges = {e for e in edges if low[0] not in e}
+
+
+def is_tree(g) -> bool:
+    """Connected with n - 1 edges.  Each edge merges its ends' components by
+    relabelling every vertex of one of them."""
+    label = {v: v for v in range(1, g.n + 1)}
+    for u, v in g.edges():
+        old, new = label[u], label[v]
+        label = {w: new if c == old else c for w, c in label.items()}
+    return len(g.edges()) == g.n - 1 and len(set(label.values())) == 1
 
 
 def _connected_avoiding(g, u: int, v: int, skip_vertex=None, skip_edge=None) -> bool:

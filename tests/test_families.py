@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import connected_bipartite_edge_sets
+from oracles import connected_bipartite_edge_sets, is_tree
 
 from lapshift.canon import canonical_form
 from lapshift.errors import CapacityError, DomainError
@@ -16,7 +16,6 @@ from lapshift.families import (
     unicyclic_family,
 )
 from lapshift.graphs import Graph, is_bipartite, path_graph, star_graph
-from lapshift.shifts import is_tree
 
 ROOTED_COUNTS = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]
 FREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]

@@ -205,3 +205,13 @@ def test_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != Graph(3, [(1, 2)])
+
+
+def test_hash_is_the_hash_of_order_and_edges():
+    import copy
+    import pickle
+
+    for g in (Graph(1), path_graph(5), Graph(4, [(3, 4), (1, 2), (2, 4)])):
+        assert hash(g) == hash((g.n, g.edges()))
+        for back in (copy.copy(g), pickle.loads(pickle.dumps(g))):
+            assert back == g and hash(back) == hash(g)

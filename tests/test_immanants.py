@@ -15,6 +15,7 @@ from lapshift.errors import InvalidInputError
 from lapshift.graphs import laplacian, path_graph, star_graph
 from lapshift.immanants import (
     ImmanantalPolynomial,
+    characteristic_type_polynomials,
     coefficient_via_subsets,
     determinant_exact,
     immanant,
@@ -140,3 +141,7 @@ def test_polynomial_coefficient_signs():
     poly = ImmanantalPolynomial(2, (1, 4, 3))
     assert poly.polynomial_coefficients() == (3, -4, 1)
     assert poly.evaluate(2) == 3 - 8 + 4
+
+
+def test_cycle_type_cache_is_bounded():
+    assert characteristic_type_polynomials.cache_info().maxsize is not None

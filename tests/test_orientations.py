@@ -1,3 +1,4 @@
+import random
 import time
 from itertools import combinations, zip_longest
 from math import comb, prod
@@ -14,6 +15,7 @@ from lapshift.orientations import (
     VertexOrientation,
     _cycle_family_series,
     _cycle_rank,
+    _matching_series,
     _split_by_size,
     _transport_plan,
     census_by_size,
@@ -354,3 +356,26 @@ def test_transport_plan_refuses_a_foreign_move():
 
 def test_transport_plan_cache_is_bounded():
     assert _transport_plan.cache_info().maxsize is not None
+
+
+def test_census_transform_refuses_a_type_that_is_no_partition():
+    with pytest.raises(InvalidInputError, match="not a partition of 4"):
+        census_transform(path_graph(4), {(1, 2, 1): 1}, Partition([4]), "s")
+
+
+def test_per_size_censuses_share_one_series_per_graph():
+    # more graphs than the series cache holds, asked for in shuffled
+    # (graph, r) order, so series are evicted and rebuilt between calls
+    graphs = [*free_trees(6), *unicyclic_family(6, 4), *unicyclic_family(7, 3)]
+    graphs.append(Graph(8, [(1, 2), (2, 3), (3, 4), (4, 1), (5, 6), (6, 7), (6, 8)]))
+    assert len(graphs) > _matching_series.cache_info().maxsize
+    assert all(_cycle_rank(g) <= 1 for g in graphs)
+    asks = [(i, r) for i, g in enumerate(graphs) for r in range(g.n + 1)]
+    random.Random(7).shuffle(asks)
+    for i, r in asks:
+        g = graphs[i]
+        census = subset_orientation_census(g, r)
+        assert census == census_by_size(g)[r]
+        assert _by_parts(census) == census_by_walking(g.n, g.edges(), r), (g, r)
+        census.clear()
+        assert subset_orientation_census(g, r) == census_by_size(g)[r] != {}

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from oracles import are_isomorphic, share_cycle, shift_move_by_share_cycle, shifts_by_all_pairs
+from oracles import (
+    are_isomorphic,
+    is_tree,
+    share_cycle,
+    shift_move_by_share_cycle,
+    shifts_by_all_pairs,
+)
 
 from lapshift import shifts
 from lapshift.canon import canonical_form
@@ -13,7 +19,6 @@ from lapshift.shifts import (
     ShiftMove,
     apply_shift,
     enumerate_shifts,
-    is_tree,
     kelmans,
     resolve_move,
     shift_applicable,
