@@ -4,7 +4,6 @@ from .canon import canonical_form
 from .characters import CharacterTable, character, character_degree, character_table
 from .errors import (
     CapacityError,
-    ConvergenceError,
     DomainError,
     InvalidInputError,
     ParseError,
@@ -37,7 +36,6 @@ from .graphs import (
 )
 from .immanants import (
     ImmanantalPolynomial,
-    coefficient_via_subsets,
     determinant_exact,
     immanant,
     immanant_by_shape,

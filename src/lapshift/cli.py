@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: poly, orientations, poset, verify, spectral, wiener, shift.
-Exit codes: 0 success, 1 verification or convergence failure, 2 input error,
+Exit codes: 0 success, 1 verification failure, 2 input error,
 3 capacity exceeded.  All output is deterministic for fixed inputs.
 """
 
@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import CapacityError, ConvergenceError, InvalidInputError
+from .errors import CapacityError, InvalidInputError
 from .families import FamilySpec, family_members
 from .graphs import (
     Graph,
@@ -127,7 +127,6 @@ def cmd_verify(args) -> int:
         "max_n": args.max_n,
         "families": args.families,
         "bases": args.bases,
-        "tol": args.tol,
         "census_cap": args.census_cap,
         "jobs": args.jobs,
         "only": args.only,
@@ -145,7 +144,7 @@ def cmd_verify(args) -> int:
 
 def cmd_spectral(args) -> int:
     g = _read_graph(args.graph)
-    print(f"{spectral_radius(g, tol=args.tol):.10f}")
+    print(f"{spectral_radius(g):.10f}")
     return 0
 
 
@@ -199,8 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="key=value configuration file")
     p.add_argument("--max-n", type=int, default=None, dest="max_n")
     p.add_argument("--families", default=None, help="comma-separated n:k pairs")
-    p.add_argument("--bases", default=None, help="comma-separated subset of s,e,h,p,m")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--bases", default=None, help="comma-separated subset of s,e,p,h")
     p.add_argument("--census-cap", type=int, default=None, dest="census_cap")
     p.add_argument("--jobs", type=int, default=None, help="only 1: the checks run in order")
     p.add_argument("--only", default=None, help="run a single check id")
@@ -210,7 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectral", help="adjacency spectral radius")
     p.add_argument("graph", help="edge-list file, or - for stdin")
-    p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=cmd_spectral)
 
     p = sub.add_parser("wiener", help="Wiener index (sum over unordered vertex pairs)")
@@ -238,9 +235,6 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity exceeded: {exc}", file=sys.stderr)
         return 3
-    except ConvergenceError as exc:
-        print(f"failed to converge: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,8 @@
 """Shared exception types.
 
 The CLI maps these onto exit codes: bad input (including parse failures and
-domain violations) exits 2, refused oversized enumerations exit 3, and a
-failed verification run exits 1.
+domain violations) exits 2 and refused oversized enumerations exit 3.  Exit 1
+is kept for a verification run that fails, which raises nothing.
 """
 
 
@@ -26,7 +26,3 @@ class DomainError(InvalidInputError):
 
 class CapacityError(RuntimeError):
     """Enumeration refused because it exceeds a configured cap."""
-
-
-class ConvergenceError(RuntimeError):
-    """Iterative numeric routine failed to converge within its budget."""

@@ -10,7 +10,7 @@ from collections import deque
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, InvalidInputError, ParseError
+from .errors import DomainError, InvalidInputError, ParseError
 
 
 class Graph:
@@ -225,28 +225,12 @@ def wiener_index(g: Graph) -> int:
     return total // 2
 
 
-def spectral_radius(g: Graph, tol: float = 1e-10, max_iterations: int = 10**6) -> float:
-    """Largest adjacency eigenvalue by power iteration.
-
-    Iterates with the adjacency matrix plus the identity: connected graphs
-    make that matrix primitive (plain adjacency is periodic on bipartite
-    graphs and need not converge), and the shift leaves eigenvectors alone.
-    Convergence is declared when successive Rayleigh quotients agree within
-    tol; the deterministic all-ones start vector keeps runs reproducible.
-    """
-    a = np.array(adjacency_matrix(g), dtype=float)
-    m = a + np.eye(g.n)
-    v = np.ones(g.n) / np.sqrt(g.n)
-    last = float(v @ (a @ v))
-    for _ in range(max_iterations):
-        w = m @ v
-        norm = np.linalg.norm(w)
-        v = w / norm
-        current = float(v @ (a @ v))
-        if abs(current - last) < tol:
-            return current
-        last = current
-    raise ConvergenceError(f"power iteration did not converge within {max_iterations} steps")
+def spectral_radius(g: Graph) -> float:
+    """Largest adjacency eigenvalue, from one symmetric eigensolve."""
+    a = np.zeros((g.n, g.n))
+    for u, v in g.edges():
+        a[u - 1, v - 1] = a[v - 1, u - 1] = 1.0
+    return float(np.linalg.eigvalsh(a)[-1])
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -189,30 +189,6 @@ def polynomial_table(m: Matrix, basis: str) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def coefficient_via_subsets(m: Matrix, f: ClassFunction, r: int) -> int:
-    """Independent route to one polynomial coefficient via principal blocks.
-
-    Sums, over the r-subsets S of the index set, the immanant of the matrix
-    that keeps m on S, the identity off S, and zeros across.  Equals
-    coefficient r of the immanantal polynomial.
-    """
-    n = _check_square(m)
-    if not 0 <= r <= n:
-        raise InvalidInputError(f"coefficient index {r} outside 0..{n}")
-    total = 0
-    for subset in combinations(range(n), r):
-        keep = set(subset)
-        block = tuple(
-            tuple(
-                m[i][j] if i in keep and j in keep else (1 if i == j else 0)
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        total += immanant(block, f)
-    return total
-
-
 def determinant_exact(m: Matrix) -> int:
     """Fraction-free elimination; exact for integer input."""
     n = _check_square(m)

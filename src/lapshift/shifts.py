@@ -34,17 +34,11 @@ def kelmans(g: Graph, x: int, y: int) -> Graph:
 
 @dataclass(frozen=True)
 class ShiftMove:
-    """A validated recipient/donor pair with its connecting path.
-
-    x_side and y_side are the vertex sets hanging off the recipient and the
-    donor once the path's edges are deleted (path vertices excluded).
-    """
+    """A validated recipient/donor pair with its connecting path."""
 
     recipient: int
     donor: int
     path: tuple[int, ...]
-    x_side: frozenset[int]
-    y_side: frozenset[int]
 
     def serialize(self) -> str:
         return f"{self.recipient} {self.donor} " + ",".join(str(p) for p in self.path)
@@ -107,14 +101,11 @@ def _move(g: Graph, recipient: int, donor: int, paths):
         return None
     path = paths[0]
     dropped = {(min(a, b), max(a, b)) for a, b in zip(path, path[1:])}
-    reach = _component(g, recipient, dropped)
-    if donor in reach:
+    if donor in _component(g, recipient, dropped):
         return None
     if len(paths) != 1:
         raise RuntimeError("two qualifying paths would put the endpoints on a cycle")
-    x_side = reach - {recipient}
-    y_side = _component(g, donor, dropped) - {donor}
-    return ShiftMove(recipient, donor, path, frozenset(x_side), frozenset(y_side))
+    return ShiftMove(recipient, donor, path)
 
 
 def apply_shift(g: Graph, move: ShiftMove) -> Graph:
@@ -157,9 +148,8 @@ def shifts_with_forms(g: Graph) -> list[tuple[ShiftMove, str]]:
         chains = _chains(g, recipient)
         for donor in sorted(d for d in chains if d > recipient):
             move = _move(g, recipient, donor, chains[donor])
-            if move is None:
-                continue
-            if not move.y_side:
+            # a leaf donor has nothing past the path to move
+            if move is None or g.degree(move.donor) == 1:
                 continue
             form = canonical_form(_rewire(g, move))
             if form == base:

@@ -43,6 +43,23 @@ def immanant_by_permutations(matrix, weight) -> int:
     return total
 
 
+def coefficient_via_subsets(matrix, weight, r: int) -> int:
+    """Coefficient r of the immanantal polynomial imm(xI - matrix) through
+    principal blocks: over the r-subsets S of the index set, sum the
+    immanants of the matrix that keeps the entries on S, the identity off S
+    and zeros across.  Each immanant is an n! permutation sum.
+    """
+    n = len(matrix)
+    total = 0
+    for subset in combinations(range(n), r):
+        block = [
+            [matrix[i][j] if i in subset and j in subset else int(i == j) for j in range(n)]
+            for i in range(n)
+        ]
+        total += immanant_by_permutations(block, weight)
+    return total
+
+
 def census_by_walking(n: int, edges, r: int) -> dict[tuple[int, ...], int]:
     """The size-r orientation census by visiting every orientation.
 

@@ -84,6 +84,21 @@ def test_wiener_and_spectral(graph_file, capsys):
     assert capsys.readouterr().out == "1.6180339887\n"
 
 
+def test_spectral_prints_correctly_rounded_decimals(graph_file, capsys):
+    # the tree D6, whose radius 2cos(pi/10) = 1.902113032590... rounds up
+    d6 = "6 5\n1 2\n2 3\n3 4\n4 5\n4 6\n"
+    assert main(["spectral", graph_file(d6)]) == 0
+    assert capsys.readouterr().out == "1.9021130326\n"
+
+
+def test_tol_flags_are_gone(graph_file, capsys):
+    for args in (["spectral", graph_file(P4), "--tol", "1e-6"], ["verify", "--tol", "1e-6"]):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
 def test_shift_subcommand(graph_file, capsys):
     assert main(["shift", graph_file(P4), "2", "3"]) == 0
     out = capsys.readouterr().out
@@ -159,6 +174,16 @@ def test_verify_jobs_other_than_one_is_input_error(capsys):
     assert main(["verify", "--jobs", "2", "--only", "monomial-table"]) == 2
     assert "checks run in order" in capsys.readouterr().err
     assert main(["verify", "--jobs", "1", "--only", "monomial-table"]) == 0
+
+
+@pytest.mark.parametrize("bases", ["m", ""])
+def test_verify_rejects_bases_outside_s_e_p_h(capsys, bases):
+    # a basis list with nothing to compare must not pass vacuously
+    args = ["verify", "--only", "coefficient-monotonicity", "--bases", bases]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "s, e, p, h" in captured.err
 
 
 def test_verify_config_file(tmp_path, capsys):

@@ -21,7 +21,14 @@ from lapshift.graphs import (
     two_core,
     wiener_index,
 )
-from lapshift.families import connected_bipartite_graphs, free_trees, unicyclic_family
+from lapshift.families import (
+    FamilySpec,
+    connected_bipartite_graphs,
+    family_members,
+    free_trees,
+    unicyclic_family,
+)
+from lapshift.posets import build_poset
 
 
 def test_construction_rejects_bad_edges():
@@ -172,6 +179,20 @@ def test_spectral_radius_matches_bisection_oracle():
     for g in samples:
         expected = largest_eigenvalue(adjacency_matrix(g))
         assert math.isclose(spectral_radius(g), expected, abs_tol=1e-8)
+
+
+def test_spectral_radius_matches_oracle_on_spectral_wiener_posets():
+    # every node the spectral-wiener check compares, to well inside the 10
+    # decimals that lapshift spectral prints; 64 halvings of the oracle's
+    # 1/8 bracket already fall below float spacing
+    nodes = 0
+    for k in (3, 4, 5):
+        for n in range(k + 1, 10):
+            for g in build_poset(family_members(FamilySpec("unicyclic", n, k))).nodes:
+                expected = largest_eigenvalue(adjacency_matrix(g), refine=64)
+                assert abs(spectral_radius(g) - expected) <= 1e-12, g
+                nodes += 1
+    assert nodes == 136
 
 
 def test_parse_and_format_round_trip():

@@ -27,7 +27,7 @@ def test_config_defaults():
     config = SuiteConfig()
     assert config.max_n == 7
     assert config.bases == ("s", "e", "p", "h")
-    assert config.tol == 1e-8
+    assert verify.SPECTRAL_TOL == 1e-8
     assert config.only is None
 
 
@@ -35,9 +35,12 @@ def test_config_validation():
     with pytest.raises(InvalidInputError):
         SuiteConfig(max_n=1)
     with pytest.raises(InvalidInputError):
-        SuiteConfig(tol=0.0)
-    with pytest.raises(InvalidInputError):
         SuiteConfig(bases=("s", "q"))
+    # m is a basis, but its coefficients are not monotone along shifts
+    with pytest.raises(InvalidInputError, match="not one of s, e, p, h"):
+        SuiteConfig(bases=("m",))
+    with pytest.raises(InvalidInputError, match="at least one of s, e, p, h"):
+        SuiteConfig(bases=())
 
 
 def test_load_config_file(tmp_path):
@@ -71,6 +74,8 @@ def test_load_config_file_rejects_bad_lines(tmp_path):
 def test_config_from_mapping_rejects_unknown_keys():
     with pytest.raises(InvalidInputError):
         config_from_mapping({"maxn": "5"})
+    with pytest.raises(InvalidInputError, match="unknown configuration key"):
+        config_from_mapping({"tol": "1e-6"})
     with pytest.raises(InvalidInputError):
         config_from_mapping({"families": "8-4"})
 
