@@ -9,13 +9,17 @@ capped because it is factorial in the worst case.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import lru_cache
 from itertools import permutations, product
 
 from .errors import CapacityError
 from .graphs import Graph, two_core
 
 BRUTE_FORCE_CAP = 10
+
+# canonical_form's memo: one verify run at the default configuration asks
+# for 668 distinct graphs, so every repeat there is a hit
+CANON_CACHE_SIZE = 4096
 
 
 def _tree_centres(g: Graph, vertices: set[int]) -> list[int]:
@@ -90,7 +94,7 @@ def _brute_force_encoding(g: Graph, cap: int) -> str:
     return f"G{g.n}:{body}"
 
 
-@cache
+@lru_cache(maxsize=CANON_CACHE_SIZE)
 def canonical_form(g: Graph, cap: int = BRUTE_FORCE_CAP) -> str:
     """Canonical string: equal strings exactly when the graphs are isomorphic."""
     n, m = g.n, g.num_edges

@@ -461,33 +461,35 @@ def _transport_plan(g1: Graph, move: ShiftMove) -> _TransportPlan:
     return _TransportPlan(g2, move.recipient, move.donor, move.path, moved, position)
 
 
-def _transport_arrows(plan: _TransportPlan, arrow: dict[int, int]) -> dict[int, int]:
-    """The transport map on arrow maps (source -> target), unvalidated.
+def _transport_arrow(plan: _TransportPlan, reverse: bool, s: int, t: int) -> tuple[int, int]:
+    """The transport map on one arrow s -> t of the shifted graph, unvalidated.
 
-    When the recipient points at a moved vertex, the recipient-to-donor
-    path is reversed: each path vertex's arrow is mirrored onto the path
-    vertex at the same distance from the other end.
+    reverse says whether the recipient points at a moved vertex; then the
+    recipient-to-donor path is reversed: each path vertex's arrow is
+    mirrored onto the path vertex at the same distance from the other end.
+    Either way an arrow along a rewired edge is redirected to the donor.
     """
     _, u, k, path, moved, position = plan
-    if arrow.get(u) not in moved:
-        return {s: k if t == u and s in moved else t for s, t in arrow.items()}
-    m = len(path)
-    out: dict[int, int] = {}
-    for s, t in arrow.items():
-        if s == u:
-            out[k] = t
-        elif s in position:
-            j = position[s]
-            mirrored = path[m - 1 - j]
-            if position[t] < j:
-                out[mirrored] = path[m - j]
-            else:
-                out[mirrored] = path[m - 2 - j]
-        elif s in moved and t == u:
-            out[s] = k
-        else:
-            out[s] = t
-    return out
+    if not reverse:
+        return s, (k if t == u and s in moved else t)
+    if s == u:
+        return k, t
+    if s in position:
+        j = position[s]
+        m = len(path)
+        if position[t] < j:
+            return path[m - 1 - j], path[m - j]
+        return path[m - 1 - j], path[m - 2 - j]
+    if s in moved and t == u:
+        return s, k
+    return s, t
+
+
+def _transport_arrows(plan: _TransportPlan, arrow: dict[int, int]) -> dict[int, int]:
+    """The transport map on arrow maps (source -> target), one arrow at a
+    time through _transport_arrow; the recipient's arrow picks the regime."""
+    reverse = arrow.get(plan.recipient) in plan.moved
+    return dict(_transport_arrow(plan, reverse, s, t) for s, t in arrow.items())
 
 
 def transport_orientation(

@@ -37,8 +37,9 @@ class HasseDiagram:
         return tuple(j for j in range(len(self.nodes)) if j not in with_in)
 
 
-def _reachability(n: int, arcs) -> list[set[int]]:
-    """reach[i]: every node a chain of arcs leads to from node i.
+def _reachability(n: int, arcs) -> list[int]:
+    """reach[i]: every node a chain of arcs leads to from node i, as the
+    bits of an int (bit j for node j).
 
     One pass: a topological order by Kahn's algorithm (Kahn, CACM 5, 1962),
     which comes out short exactly when the arcs hold a cycle, then reach
@@ -57,11 +58,12 @@ def _reachability(n: int, arcs) -> list[set[int]]:
                 order.append(j)
     if len(order) != n:
         raise RuntimeError("shift arcs form a cycle")
-    reach: list[set[int]] = [set() for _ in range(n)]
+    reach = [0] * n
     for i in reversed(order):
+        bits = 0
         for j in succ[i]:
-            reach[i].add(j)
-            reach[i] |= reach[j]
+            bits |= 1 << j | reach[j]
+        reach[i] = bits
     return reach
 
 
@@ -82,13 +84,12 @@ def build_poset(members) -> HasseDiagram:
                 raise RuntimeError("a shift returned a graph isomorphic to its input")
             witnesses.setdefault((i, j), move)
     reach = _reachability(len(nodes), witnesses)
-    covers = tuple(
-        sorted(
-            (i, j)
-            for i, j in witnesses
-            if not any(t != j and j in reach[t] for t in reach[i])
-        )
-    )
+    # an arc is a cover unless a longer chain implies it: unless its head is
+    # reached from another successor of its tail
+    longer = [0] * len(nodes)
+    for i, s in witnesses:
+        longer[i] |= reach[s]
+    covers = tuple(sorted((i, j) for i, j in witnesses if not longer[i] >> j & 1))
     return HasseDiagram(nodes, canon, covers, {c: witnesses[c] for c in covers})
 
 

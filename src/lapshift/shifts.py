@@ -11,7 +11,6 @@ the classical tree shift.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .canon import canonical_form
@@ -44,18 +43,43 @@ class ShiftMove:
         return f"{self.recipient} {self.donor} " + ",".join(str(p) for p in self.path)
 
 
-def _component(g: Graph, start: int, dropped_edges: set[tuple[int, int]]) -> set[int]:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors(v):
-            key = (min(v, w), max(v, w))
-            if key in dropped_edges or w in seen:
-                continue
-            seen.add(w)
-            queue.append(w)
-    return seen
+def _bridges(g: Graph) -> set[tuple[int, int]]:
+    """The bridges of g, the edges on no cycle, as (smaller, larger) pairs.
+
+    One iterative depth-first search with low links (Tarjan, Inf. Process.
+    Lett. 2, 1974): low[v] is the earliest discovery time reachable from
+    v's subtree by one back edge, and the tree edge into v is a bridge
+    exactly when low[v] is v's own time.
+    """
+    found = [0] * (g.n + 1)  # discovery times from 1; 0 is undiscovered
+    low = [0] * (g.n + 1)
+    bridges = set()
+    clock = 0
+    for root in g.vertices():
+        if found[root]:
+            continue
+        clock += 1
+        found[root] = low[root] = clock
+        stack = [(root, 0, iter(g.neighbors(root)))]
+        while stack:
+            v, parent, rest = stack[-1]
+            for w in rest:
+                if w == parent:
+                    continue
+                if found[w]:
+                    low[v] = min(low[v], found[w])
+                else:
+                    clock += 1
+                    found[w] = low[w] = clock
+                    stack.append((w, v, iter(g.neighbors(w))))
+                    break
+            else:
+                stack.pop()
+                if parent:
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] == found[v]:
+                        bridges.add((min(parent, v), max(parent, v)))
+    return bridges
 
 
 def _chains(g: Graph, u: int) -> dict[int, list[tuple[int, ...]]]:
@@ -85,23 +109,23 @@ def shift_applicable(g: Graph, recipient: int, donor: int):
         raise InvalidInputError("recipient and donor must differ")
     g._check_vertex(recipient)
     g._check_vertex(donor)
-    return _move(g, recipient, donor, _chains(g, recipient).get(donor))
+    return _move(recipient, donor, _chains(g, recipient).get(donor), _bridges(g))
 
 
-def _move(g: Graph, recipient: int, donor: int, paths):
-    """shift_applicable for a pair whose paths with degree-2 interior are known.
+def _move(recipient: int, donor: int, paths, bridges):
+    """shift_applicable for a pair whose paths with degree-2 interior are
+    known, given the graph's bridges.
 
-    The ends share a cycle exactly when the donor is still reachable from
-    the recipient once the first qualifying path's edges are dropped: a
-    second route cannot pass the path's interior, whose vertices have
-    degree 2, so it closes a cycle with the path; and a cycle through both
-    ends holds two internally disjoint routes, at most one of them the path.
+    The ends share a cycle exactly when the first qualifying path's first
+    edge is on a cycle, so is no bridge: such a cycle goes on through the
+    path's interior, whose vertices have degree 2, to the donor; and a cycle
+    through both ends holds two internally disjoint routes, at most one of
+    them the path, so the other closes a cycle with the path.
     """
     if not paths:
         return None
     path = paths[0]
-    dropped = {(min(a, b), max(a, b)) for a, b in zip(path, path[1:])}
-    if donor in _component(g, recipient, dropped):
+    if (min(path[0], path[1]), max(path[0], path[1])) not in bridges:
         return None
     if len(paths) != 1:
         raise RuntimeError("two qualifying paths would put the endpoints on a cycle")
@@ -144,10 +168,11 @@ def shifts_with_forms(g: Graph) -> list[tuple[ShiftMove, str]]:
     which the enumeration computes anyway to drop the isomorphic ones."""
     out = []
     base = canonical_form(g)
+    bridges = _bridges(g)
     for recipient in g.vertices():
         chains = _chains(g, recipient)
         for donor in sorted(d for d in chains if d > recipient):
-            move = _move(g, recipient, donor, chains[donor])
+            move = _move(recipient, donor, chains[donor], bridges)
             # a leaf donor has nothing past the path to move
             if move is None or g.degree(move.donor) == 1:
                 continue

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, combinations, product
+from itertools import chain
 from math import factorial, prod, sqrt
 from operator import gt
 
@@ -48,6 +48,7 @@ from .orientations import (
     FULL_CENSUS_CAP,
     VertexOrientation,
     _cycle_lengths,
+    _transport_arrow,
     _transport_arrows,
     _transport_plan,
     census_by_size,
@@ -162,7 +163,8 @@ class CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# shared corpora, built once per process
+# the corpus, the posets, and per-graph censuses and coefficient tables, shared
+# by the checks of one run_suite call and cleared when it ends
 
 
 @cache
@@ -173,10 +175,6 @@ def _bipartite_corpus() -> tuple[Graph, ...]:
 @cache
 def _poset(kind: str, n: int, cycle_len: int | None) -> HasseDiagram:
     return build_poset(family_members(FamilySpec(kind, n, cycle_len)))
-
-
-# per-graph censuses and coefficient tables, shared by the checks of one
-# run_suite call and cleared when it ends
 
 
 @cache
@@ -196,7 +194,7 @@ def _matrix_table(matrix, basis: str) -> tuple[tuple[int, ...], ...]:
     return polynomial_table(matrix, basis)
 
 
-RUN_CACHES = (_censuses, _census_table, _matrix_table)
+RUN_CACHES = (_bipartite_corpus, _poset, _censuses, _census_table, _matrix_table)
 
 
 def _cover_instances(spec: FamilySpec):
@@ -471,10 +469,140 @@ def _check_coefficient_monotonicity(config: SuiteConfig):
     )
 
 
+def _closed_cycle(target: list[int], s: int, t: int, limit: int) -> int:
+    """Length of the cycle that the new arrow s -> t closes in a partial
+    arrow map (target[v] is v's target, 0 where v has no arrow), or 0.
+
+    s had no arrow before, so the walk from t comes back to s, stops at a
+    vertex without an arrow, or runs into a cycle without s; at most limit
+    arrows are followed.
+    """
+    length, v = 1, t
+    while v != s:
+        v = target[v]
+        if not v or length == limit:
+            return 0
+        length += 1
+    return length
+
+
+def _arcs(g: Graph) -> set[tuple[int, int]]:
+    """Both directions of every edge."""
+    return {(a, b) for a, b in g.edges()} | {(b, a) for a, b in g.edges()}
+
+
+def _transport_report(plan, below: Graph, move, arrow: dict[int, int], collided: bool):
+    """(description, expected, actual) of the first of the four transport
+    tests that one orientation of the upper graph fails: domain size, arrows
+    on edges of the lower graph, cycle type, and (when the walk saw its image
+    before) injectivity."""
+    r = len(arrow)
+    image = _transport_arrows(plan, arrow)
+    lower_arcs = _arcs(below)
+    if len(image) != r:
+        return f"transported domain size at r={r} ({move.serialize()})", str(r), str(len(image))
+    for s, t in image.items():
+        if (s, t) not in lower_arcs:
+            inst = f"transported arrow at r={r} ({move.serialize()})"
+            return inst, "an edge of the lower graph", f"{s}->{t}"
+    if sorted(_cycle_lengths(image)) != sorted(_cycle_lengths(arrow)):
+        source = VertexOrientation.from_mapping(arrow)
+        inst = f"transported type at r={r} ({move.serialize()}), arrows {source.arrows}"
+        return (
+            inst,
+            format_partition(classify_type(plan.shifted, source)),
+            format_partition(classify_type(below, VertexOrientation.from_mapping(image))),
+        )
+    if collided:
+        inst = f"transport collision at r={r} ({move.serialize()})"
+        return inst, "injective", f"duplicate {tuple(sorted(image.items()))}"
+    raise RuntimeError(f"the transport walk flagged {arrow}, which passes every test")
+
+
+def _transport_walk(plan, below: Graph, move):
+    """Every orientation of the move's shifted graph through the transport
+    map, depth first with shared prefixes: (orientations mapped, None) when
+    each image keeps the domain size, lies on edges of the lower graph, has
+    the source's cycle lengths and is new, else (None, failure report).
+
+    The recipient comes first, since its arrow picks the regime; each later
+    vertex is left without an arrow or points at a neighbour.  The arrow
+    map is tabulated per regime from _transport_arrow, and the cycle each
+    arrow closes is found as it is placed, in the source and in the image.
+    Images of different sizes differ, so one set of images serves the cover.
+    """
+    above, u = plan.shifted, plan.recipient
+    n = above.n
+    order = [u] + [v for v in above.vertices() if v != u]
+    lower_arcs = _arcs(below)
+    # tables[reverse][depth]: the choices of order[depth], None for no arrow,
+    # else (target, image source, image target, image on an edge of below)
+    tables = []
+    for reverse in (False, True):
+        table = []
+        for v in order:
+            choices = [None] if v != u or not reverse else []
+            for t in sorted(above.neighbors(v)):
+                if v == u and (t in plan.moved) != reverse:
+                    continue
+                s2, t2 = _transport_arrow(plan, reverse, v, t)
+                choices.append((t, s2, t2, (s2, t2) in lower_arcs))
+            table.append(choices)
+        tables.append(table)
+    source, image = [0] * (n + 1), [0] * (n + 1)
+    source_cycles, image_cycles = [], []
+    images = set()
+
+    def report(collided):
+        arrow = {v: source[v] for v in above.vertices() if source[v]}
+        return None, _transport_report(plan, below, move, arrow, collided)
+
+    def descend(depth, table):
+        if depth == n:
+            if source_cycles != image_cycles and sorted(source_cycles) != sorted(image_cycles):
+                return report(False)
+            key = tuple(image)
+            if key in images:
+                return report(True)
+            images.add(key)
+            return None
+        v = order[depth]
+        for choice in table[depth]:
+            if choice is None:
+                failed = descend(depth + 1, table)
+            else:
+                t, s2, t2, on_edge = choice
+                source[v] = t
+                if image[s2] or not on_edge:
+                    return report(False)
+                image[s2] = t2
+                a = _closed_cycle(source, v, t, n)
+                b = _closed_cycle(image, s2, t2, n)
+                if a:
+                    source_cycles.append(a)
+                if b:
+                    image_cycles.append(b)
+                failed = descend(depth + 1, table)
+                if a:
+                    source_cycles.pop()
+                if b:
+                    image_cycles.pop()
+                source[v] = image[s2] = 0
+            if failed:
+                return failed
+        return None
+
+    for table in tables:
+        failed = descend(0, table)
+        if failed:
+            return failed
+    return len(images), None
+
+
 def _check_transport_injectivity(config: SuiteConfig):
-    # every orientation of each cover's upper graph, as int targets, through
-    # the transport's arrow map: each image needs r arrows, all on edges of
-    # the lower graph, the source's cycle lengths, and no repeat
+    # every orientation of each cover's upper graph through the transport's
+    # arrow map: each image needs r arrows, all on edges of the lower graph,
+    # the source's cycle lengths, and no repeat
     mapped = 0
     for spec in _monotone_posets(config):
         for below, move, _ in _cover_instances(spec):
@@ -487,44 +615,10 @@ def _check_transport_injectivity(config: SuiteConfig):
                     f"({move.serialize()}) exceeds the cap of {config.census_cap} "
                     f"(raise it with --census-cap)"
                 )
-            choices = {v: sorted(above.neighbors(v)) for v in above.vertices()}
-            edge_mask = [0] * (below.n + 1)
-            for a, b in below.edges():
-                edge_mask[a] |= 1 << b
-                edge_mask[b] |= 1 << a
-            for r in range(below.n + 1):
-                images = set()
-                for domain in combinations(above.vertices(), r):
-                    for targets in product(*(choices[v] for v in domain)):
-                        arrow = dict(zip(domain, targets))
-                        image = _transport_arrows(plan, arrow)
-                        if len(image) != r:
-                            inst = f"transported domain size at r={r} ({move.serialize()})"
-                            return False, inst, str(r), str(len(image))
-                        for s, t in image.items():
-                            if not edge_mask[s] >> t & 1:
-                                inst = f"transported arrow at r={r} ({move.serialize()})"
-                                return False, inst, "an edge of the lower graph", f"{s}->{t}"
-                        if sorted(_cycle_lengths(image)) != sorted(_cycle_lengths(arrow)):
-                            source = VertexOrientation(tuple(zip(domain, targets)))
-                            inst = (
-                                f"transported type at r={r} ({move.serialize()}), "
-                                f"arrows {source.arrows}"
-                            )
-                            return (
-                                False,
-                                inst,
-                                format_partition(classify_type(above, source)),
-                                format_partition(
-                                    classify_type(below, VertexOrientation.from_mapping(image))
-                                ),
-                            )
-                        key = frozenset(image.items())
-                        if key in images:
-                            inst = f"transport collision at r={r} ({move.serialize()})"
-                            return False, inst, "injective", f"duplicate {tuple(sorted(key))}"
-                        images.add(key)
-                        mapped += 1
+            count, failure = _transport_walk(plan, below, move)
+            if failure is not None:
+                return (False, *failure)
+            mapped += count
     return (
         True,
         f"orientation transport type-preserving and injective on {mapped} orientations",

@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is written the slow, obvious way on purpose: explicit
-permutation sums, Fraction Gaussian elimination, Floyd-Warshall, brute-force
+permutation sums, Fraction Gaussian elimination, Faddeev-LeVerrier
+characteristic polynomials, Floyd-Warshall, brute-force
 isomorphism search, a vertex-deletion cycle test, a leaf-deletion 2-core, a
 relabelling tree test, an orientation walk.  None of it shares code paths
 with the package modules it checks.
@@ -149,36 +150,59 @@ def characteristic_polynomial_fractions(matrix) -> list[Fraction]:
     return coeffs
 
 
+def characteristic_polynomial_integers(matrix) -> list[int]:
+    """Coefficients of det(xI - M) for an integer matrix, constant term
+    first, by Faddeev-LeVerrier: with N_1 = I, c_(n-k) = -tr(M N_k) / k and
+    N_(k+1) = M N_k + c_(n-k) I; every division is exact over the integers."""
+    n = len(matrix)
+    coeffs = [0] * n + [1]
+    nk = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        mnk = [[sum(matrix[i][t] * nk[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        trace = sum(mnk[i][i] for i in range(n))
+        if trace % k:
+            raise ArithmeticError("Faddeev-LeVerrier trace not divisible; not an integer matrix?")
+        c = -trace // k
+        coeffs[n - k] = c
+        nk = [[mnk[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
+    return coeffs
+
+
 def largest_eigenvalue(matrix, refine: int = 200) -> float:
     """Largest root of the characteristic polynomial by bisection.
 
     The matrices handled here are adjacency matrices, so the spectral radius
-    sits in [0, n] and is the largest real root.
+    sits in [0, n] and is the largest real root.  Every point tried is a
+    multiple of 2^-(refine + 3), so points are kept as integer numerators a
+    over that scale D, and p(a / D) has the sign of the integer
+    D^n p(a / D), evaluated by Horner's rule.
     """
-    coeffs = characteristic_polynomial_fractions(matrix)
-
-    def evaluate(x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
-
+    coeffs = characteristic_polynomial_integers(matrix)
     n = len(matrix)
-    hi = Fraction(n + 1)
+    shift = refine + 3
+    scale = [1 << (shift * i) for i in range(n + 1)]  # D^i
+
+    def positive(a: int) -> bool:
+        acc = coeffs[n]
+        for i in range(n - 1, -1, -1):
+            acc = acc * a + coeffs[i] * scale[n - i]
+        return acc > 0
+
+    hi = (n + 1) << shift
     # the polynomial is monic, positive beyond the largest root; walk down
-    # in coarse steps to bracket it, then bisect
-    step = Fraction(1, 8)
+    # in coarse steps of 1/8 to bracket it, then bisect
+    step = 1 << (shift - 3)
     lo = hi
-    while lo > -1 and evaluate(lo) > 0:
+    while lo > -(1 << shift) and positive(lo):
         lo -= step
     hi = lo + step
     for _ in range(refine):
-        mid = (lo + hi) / 2
-        if evaluate(mid) > 0:
+        mid = (lo + hi) // 2
+        if positive(mid):
             hi = mid
         else:
             lo = mid
-    return float((lo + hi) / 2)
+    return float(Fraction(lo + hi, 1 << (shift + 1)))
 
 
 def all_pairs_distances(n: int, edges) -> list[list[float]]:
@@ -280,6 +304,11 @@ def share_cycle(g, u: int, v: int) -> bool:
     return all(
         _connected_avoiding(g, u, v, skip_vertex=w) for w in g.vertices() if w not in (u, v)
     )
+
+
+def bridges_by_deletion(g) -> set[tuple[int, int]]:
+    """The edges whose ends fall apart once the edge alone is deleted."""
+    return {e for e in g.edges() if not _connected_avoiding(g, *e, skip_edge=e)}
 
 
 def shift_move_by_share_cycle(g, recipient: int, donor: int):

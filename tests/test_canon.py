@@ -4,9 +4,10 @@ import pytest
 
 from oracles import are_isomorphic
 
-from lapshift.canon import canonical_form
+from lapshift.canon import CANON_CACHE_SIZE, canonical_form
 from lapshift.errors import CapacityError
 from lapshift.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
+from lapshift.verify import SuiteConfig, run_suite
 
 
 def _relabel(g: Graph, mapping: dict[int, int]) -> Graph:
@@ -74,3 +75,12 @@ def test_brute_force_cap():
     big = complete_graph(11)
     with pytest.raises(CapacityError):
         canonical_form(big, cap=10)
+
+
+def test_canonical_form_cache_is_bounded():
+    # one verify run at the default configuration fits in it, with room over
+    assert canonical_form.cache_info().maxsize == CANON_CACHE_SIZE
+    canonical_form.cache_clear()
+    run_suite(SuiteConfig(only="poset-extremes"))
+    info = canonical_form.cache_info()
+    assert info.currsize == info.misses < info.maxsize

@@ -1,8 +1,15 @@
 import math
+import random
 
 import pytest
 
-from oracles import largest_eigenvalue, two_core_by_deletion, wiener_by_floyd_warshall
+from oracles import (
+    characteristic_polynomial_fractions,
+    characteristic_polynomial_integers,
+    largest_eigenvalue,
+    two_core_by_deletion,
+    wiener_by_floyd_warshall,
+)
 
 from lapshift.errors import DomainError, InvalidInputError, ParseError
 from lapshift.graphs import (
@@ -179,6 +186,19 @@ def test_spectral_radius_matches_bisection_oracle():
     for g in samples:
         expected = largest_eigenvalue(adjacency_matrix(g))
         assert math.isclose(spectral_radius(g), expected, abs_tol=1e-8)
+
+
+def test_integer_characteristic_polynomial_matches_interpolation():
+    # the bisection oracle's Faddeev-LeVerrier coefficients against the
+    # Fraction determinants and Lagrange interpolation
+    rng = random.Random(3)
+    for n in range(1, 7):
+        for _ in range(4):
+            m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            assert characteristic_polynomial_integers(m) == characteristic_polynomial_fractions(m)
+    for g in (path_graph(6), star_graph(6), cycle_graph(5)):
+        a = adjacency_matrix(g)
+        assert characteristic_polynomial_integers(a) == characteristic_polynomial_fractions(a)
 
 
 def test_spectral_radius_matches_oracle_on_spectral_wiener_posets():

@@ -4,6 +4,7 @@ import pytest
 
 from oracles import (
     are_isomorphic,
+    bridges_by_deletion,
     is_tree,
     share_cycle,
     shift_move_by_share_cycle,
@@ -190,6 +191,24 @@ def test_shift_applicable_matches_share_cycle_oracle():
                 )
                 pairs += 1
     assert pairs == 14806
+
+
+def test_bridges_match_deletion_oracle():
+    graphs = list(_differential_corpus())
+    # disconnected graphs too: two cycles joined by a path, beside a tree
+    # and an isolated vertex, and seeded random graphs
+    graphs.append(
+        Graph(14, [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 6), (6, 7), (7, 5),
+                   (8, 9), (9, 10), (9, 11), (12, 13)])
+    )
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        graphs.append(Graph(n, rng.sample(pairs, rng.randint(0, min(len(pairs), 2 * n)))))
+    for g in graphs:
+        assert shifts._bridges(g) == bridges_by_deletion(g), g.edges()
+    assert shifts._bridges(graphs[-201]) == {(3, 4), (4, 5), (8, 9), (9, 10), (9, 11), (12, 13)}
 
 
 def test_shift_enumeration_matches_all_pairs_oracle():

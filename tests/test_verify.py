@@ -1,5 +1,7 @@
 import inspect
 import textwrap
+from itertools import product
+from math import prod
 
 import pytest
 
@@ -180,21 +182,98 @@ def test_jobs_must_be_one():
         config_from_mapping({"jobs": "0"})
 
 
-def test_transport_check_catches_a_swapped_path_reversal(monkeypatch):
-    # the two branches of the reversal swapped in the shared arrow map; the
-    # 7-vertex families have a cover that takes the reversal (the 6:4 family
-    # at max_n 5 does not)
-    source = textwrap.dedent(inspect.getsource(orientations._transport_arrows))
-    swapped = source.replace("if position[t] < j:", "if position[t] > j:")
-    assert swapped != source
+# the 7-vertex families have a cover that takes the path reversal (the 6:4
+# family at max_n 5 does not)
+REVERSAL_CONFIG = {
+    "max_n": 6,
+    "families": (FamilySpec("unicyclic", 7, 4), FamilySpec("unicyclic", 7, 6)),
+}
+
+
+def _mutate_transport_arrow(monkeypatch, old, new):
+    """Swap one line of the per-arrow transport map, in the copy that the
+    check tabulates and in the one that its failure report maps through."""
+    source = textwrap.dedent(inspect.getsource(orientations._transport_arrow))
+    mutant = source.replace(old, new)
+    assert mutant != source
     namespace = dict(vars(orientations))
-    exec(swapped, namespace)
-    monkeypatch.setattr(verify, "_transport_arrows", namespace["_transport_arrows"])
-    families = (FamilySpec("unicyclic", 7, 4), FamilySpec("unicyclic", 7, 6))
-    report = run_suite(SuiteConfig(only="transport-injectivity", max_n=6, families=families))[0]
+    exec(mutant, namespace)
+    monkeypatch.setattr(orientations, "_transport_arrow", namespace["_transport_arrow"])
+    monkeypatch.setattr(verify, "_transport_arrow", namespace["_transport_arrow"])
+
+
+def test_transport_check_catches_a_swapped_path_reversal(monkeypatch):
+    # the two branches of the reversal swapped in the shared arrow map
+    _mutate_transport_arrow(monkeypatch, "if position[t] < j:", "if position[t] > j:")
+    report = run_suite(SuiteConfig(only="transport-injectivity", **REVERSAL_CONFIG))[0]
     assert not report.passed
     assert report.description.startswith("transported")
     assert format_reports([report]).startswith("FAIL transport-injectivity:")
+
+
+BRANCH_MUTANTS = {
+    # a moved vertex keeps its arrow at the recipient: not an edge below
+    "off-edge image": (
+        "return s, (k if t == u and s in moved else t)",
+        "return s, t",
+        "transported arrow at r=",
+    ),
+    # a moved vertex's arrow at the recipient becomes the donor's arrow at
+    # it, where the donor's own arrow lands
+    "two sources merged": (
+        "return s, (k if t == u and s in moved else t)",
+        "return (k, s) if t == u and s in moved else (s, t)",
+        "transported domain size at r=",
+    ),
+    # the reversed regime maps like the plain one
+    "reversal dropped": ("if not reverse:", "if True:", "transported arrow at r="),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(BRANCH_MUTANTS))
+def test_transport_check_catches_each_branch_mutant(monkeypatch, mutant):
+    old, new, where = BRANCH_MUTANTS[mutant]
+    _mutate_transport_arrow(monkeypatch, old, new)
+    report = run_suite(SuiteConfig(only="transport-injectivity", **REVERSAL_CONFIG))[0]
+    assert not report.passed
+    assert report.description.startswith(where)
+    assert format_reports([report]).startswith("FAIL transport-injectivity:")
+
+
+@pytest.mark.parametrize("config", [{}, REVERSAL_CONFIG], ids=["default", "bench"])
+def test_transport_walk_visits_every_orientation_of_every_cover(config):
+    config = SuiteConfig(only="transport-injectivity", **config)
+    expected = sum(
+        prod(1 + above.degree(v) for v in above.vertices())
+        for spec in verify._monotone_posets(config)
+        for _, _, above in verify._cover_instances(spec)
+    )
+    report = run_suite(config)[0]
+    assert report.passed
+    assert report.description == (
+        f"orientation transport type-preserving and injective on {expected} orientations"
+    )
+
+
+def test_closed_cycles_match_cycle_lengths_on_every_orientation():
+    # the walk's order: the recipient first, then the other vertices
+    orientations_seen = 0
+    for n, k in ((7, 4), (7, 6)):
+        for below, move, _ in verify._cover_instances(FamilySpec("unicyclic", n, k)):
+            above = orientations._transport_plan(below, move).shifted
+            order = [move.recipient] + [v for v in above.vertices() if v != move.recipient]
+            choices = [[0, *sorted(above.neighbors(v))] for v in order]
+            for targets in product(*choices):
+                target, closed = [0] * (above.n + 1), []
+                for v, t in zip(order, targets):
+                    if t:
+                        target[v] = t
+                        closed.append(verify._closed_cycle(target, v, t, above.n))
+                arrow = {v: t for v, t in zip(order, targets) if t}
+                want = sorted(orientations._cycle_lengths(arrow))
+                assert sorted(c for c in closed if c) == want, arrow
+                orientations_seen += 1
+    assert orientations_seen == 5940
 
 
 @pytest.mark.parametrize("invariant", ["spectral_radius", "wiener_index"])
@@ -211,6 +290,8 @@ def test_spectral_wiener_check_catches_an_inverted_invariant(monkeypatch, invari
 
 
 def test_run_caches_last_one_run():
+    # the corpus and the posets too: nothing a run builds outlives it
+    assert {verify._bipartite_corpus, verify._poset} <= set(verify.RUN_CACHES)
     config = SuiteConfig(**SMALL, bases=("s",))
     first = format_reports(run_suite(config))
     assert all(c.cache_info().currsize == 0 for c in verify.RUN_CACHES)
